@@ -37,13 +37,29 @@ foreground metrics within documented tolerance bands on populations
 small enough to run both ways.  See ``docs/hybrid.md``.
 """
 
-from repro.fluid.derive import (  # noqa: F401
-    background_from_population,
-    background_from_population_flows,
-    hybridize,
-)
 from repro.fluid.source import FluidSource  # noqa: F401
 from repro.fluid.specs import BACKGROUND_KINDS, BackgroundLoadSpec  # noqa: F401
+
+#: Names served from :mod:`repro.fluid.derive` on first use.  ``derive``
+#: sits *above* ``repro.topo`` and ``repro.traffic`` (it imports both),
+#: while ``topo.specs`` / ``topo.build`` import ``fluid.specs`` /
+#: ``fluid.source`` from below; importing it here eagerly closes the
+#: cycle ``traffic.population -> topo -> fluid -> derive ->
+#: traffic.population`` and ``import repro.traffic`` fails in a fresh
+#: interpreter.
+_DERIVE_NAMES = (
+    "background_from_population",
+    "background_from_population_flows",
+    "hybridize",
+)
+
+
+def __getattr__(name: str):
+    if name in _DERIVE_NAMES:
+        from repro.fluid import derive
+
+        return getattr(derive, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BACKGROUND_KINDS",

@@ -18,12 +18,15 @@ them, one marker-free link per flow, in flow order.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import replace
+from itertools import accumulate
 from typing import Iterable, List, Optional, Tuple
 
 from repro.topo.specs import FlowSpec, MarkerSpec, SlaSpec, TopologySpec
-from repro.traffic.samplers import sample_arrivals, sample_size
+from repro.traffic.samplers import sample_arrivals, size_sampler
 from repro.traffic.specs import PopulationSpec
 
 #: Transports whose flows hold a per-flow AF guarantee.
@@ -49,57 +52,52 @@ def expand_population(spec: PopulationSpec, seed: int) -> Tuple[FlowSpec, ...]:
     times = sample_arrivals(
         spec.arrival, arrivals_rng, spec.horizon, spec.n_flows
     )
+    # per-class constants, resolved once.  bounds[k] is the cumulative
+    # weight through class k; the last is lifted to +inf so a draw that
+    # rounds up to the total still lands on the last class.
     total_weight = sum(cls.weight for cls in spec.classes)
-    assured_pool: List[Tuple[str, str]] = list(spec.endpoints)
+    bounds = list(accumulate(cls.weight for cls in spec.classes))
+    bounds[-1] = math.inf
+    classes = [
+        (cls.name, cls.transport, cls.target_bps, cls.record,
+         cls.transport in ASSURED_TRANSPORTS,
+         size_sampler(cls.size, sizes_rng))
+        for cls in spec.classes
+    ]
+    endpoints, start = spec.endpoints, spec.start
+    assured_pool: List[Tuple[str, str]] = list(endpoints)
+    pick, randrange = classes_rng.random, endpoints_rng.randrange
 
     flows: List[FlowSpec] = []
     for i, t in enumerate(times):
-        cls = _pick_class(spec, classes_rng, total_weight)
-        size = sample_size(cls.size, sizes_rng)
-        if cls.transport in ASSURED_TRANSPORTS:
+        # one `classes` draw per flow regardless of the class count, so
+        # adding a class never shifts which draw later flows consume
+        name, transport, target_bps, record, assured, draw_size = classes[
+            bisect_right(bounds, pick() * total_weight)
+        ]
+        size = draw_size()
+        if assured:
             if not assured_pool:
                 raise ValueError(
                     f"population {spec.name!r}: ran out of endpoint pairs "
-                    f"for assured flow {cls.name}{i} (assured flows draw "
+                    f"for assured flow {name}{i} (assured flows draw "
                     "without replacement; add endpoints or lower the "
                     "assured class weight)"
                 )
-            src, dst = assured_pool.pop(
-                endpoints_rng.randrange(len(assured_pool))
-            )
+            src, dst = assured_pool.pop(randrange(len(assured_pool)))
         else:
-            src, dst = spec.endpoints[
-                endpoints_rng.randrange(len(spec.endpoints))
-            ]
-        flows.append(
-            FlowSpec(
-                f"{cls.name}{i}",
-                src,
-                dst,
-                transport=cls.transport,
-                target_bps=cls.target_bps,
-                record=cls.record,
-                start=spec.start + t,
-                size_bytes=size,
-            )
-        )
+            src, dst = endpoints[randrange(len(endpoints))]
+        # positional: flow_id, src, dst, transport, target_bps, record,
+        # start, stop, p_scaling, sack, size_bytes
+        flows.append(FlowSpec(
+            f"{name}{i}", src, dst, transport, target_bps, record,
+            start + t, None, False, True, size,
+        ))
     return tuple(flows)
 
 
 def _stream(spec: PopulationSpec, seed: int, substream: str) -> random.Random:
     return random.Random(f"{seed}:{spec.rng_stream}:{substream}")
-
-
-def _pick_class(spec, rng: random.Random, total_weight: float):
-    # one draw per flow regardless of the class count, so adding a
-    # class never shifts which draw later flows consume
-    x = rng.random() * total_weight
-    acc = 0.0
-    for cls in spec.classes:
-        acc += cls.weight
-        if x < acc:
-            return cls
-    return spec.classes[-1]
 
 
 def offered_load_profile(
@@ -119,45 +117,72 @@ def offered_load_profile(
     yields exactly the bytes the fluid model offers — that is what the
     hybrid/packet equivalence tests lean on.
 
-    ``horizon=None`` sizes the profile to cover every deposit; an
-    explicit horizon truncates (late bytes are discarded).  Flows
-    without a ``size_bytes`` budget have no defined offered volume and
-    raise ``ValueError``.
+    ``per_flow_rate_bps`` of ``None`` or ``0`` means "deposit in the
+    arrival epoch"; a negative rate is rejected.  ``horizon=None``
+    sizes the profile to cover every deposit; an explicit horizon
+    truncates (late bytes are discarded).  Flows without a
+    ``size_bytes`` budget have no defined offered volume and raise
+    ``ValueError``.
+
+    One pass over ``flows`` (any iterable).  Each bin accumulates its
+    deposits in flow order and every term is ``rate * (hi - lo)`` with
+    ``lo``/``hi`` the deposit clamped to the bin's edges ``idx *
+    epoch`` and ``(idx + 1) * epoch``, so a profile is a float-exact
+    function of its inputs (``perf/expected/`` pins it that way).
     """
     if epoch <= 0:
         raise ValueError("epoch must be positive")
-    deposits: List[Tuple[float, float, float]] = []  # (start, end, bytes)
-    end_max = 0.0
+    if per_flow_rate_bps is not None and per_flow_rate_bps < 0:
+        raise ValueError(
+            f"per_flow_rate_bps must be >= 0 (got {per_flow_rate_bps!r}); "
+            "use None or 0 to deposit each flow in its arrival epoch"
+        )
+    truncate = horizon is not None  # an explicit horizon discards late bytes
+    bins: List[float] = []
+    edges: List[float] = [0.0]  # edges[idx] == idx * epoch
+    widths: List[float] = []  # widths[idx] == edges[idx + 1] - edges[idx]
+
+    def cover(n_bins: int) -> None:
+        for idx in range(len(bins), n_bins):
+            bins.append(0.0)
+            edges.append((idx + 1) * epoch)
+            widths.append(edges[idx + 1] - edges[idx])
+
+    cover(int(horizon / epoch) + 1 if truncate and horizon > 0 else 1)
     for flow in flows:
-        if flow.size_bytes is None:
+        size, start = flow.size_bytes, flow.start
+        if size is None:
             raise ValueError(
                 f"flow {flow.flow_id!r} has no size_bytes budget; offered "
                 "load is only defined for finite flows"
             )
-        if per_flow_rate_bps:
-            duration = flow.size_bytes * 8.0 / per_flow_rate_bps
-        else:
-            duration = 0.0
-        deposits.append((flow.start, flow.start + duration, float(flow.size_bytes)))
-        end_max = max(end_max, flow.start + duration)
-    truncate = horizon is not None  # an explicit horizon discards late bytes
-    if horizon is None:
-        horizon = end_max
-    n_bins = max(1, int(horizon / epoch) + 1) if horizon > 0 else 1
-    bins = [0.0] * n_bins
-    for start, end, size in deposits:
         if truncate and start >= horizon > 0:
             continue
+        duration = size * 8.0 / per_flow_rate_bps if per_flow_rate_bps else 0.0
+        end = start + duration
         first = int(start / epoch)
+        last = int(end / epoch) if end > start else first
+        if last >= len(bins):
+            if truncate:
+                last = len(bins) - 1
+            else:
+                cover(last + 1)
+        if first > last:  # starts beyond a truncated profile
+            continue
         if end <= start:  # point deposit: all bytes in the arrival epoch
-            if first < n_bins:
-                bins[first] += size
+            bins[first] += size
             continue
         rate = size / (end - start)  # bytes per second, uniform spread
-        last = min(int(end / epoch), n_bins - 1)
-        for idx in range(first, last + 1):
-            lo = max(start, idx * epoch)
-            hi = min(end, (idx + 1) * epoch)
+        # int(end / epoch) can round up onto an edge at or past ``end``;
+        # that bin receives nothing, and stepping back leaves every
+        # interior bin wholly inside [start, end]: no clamping there
+        while last > first and edges[last] >= end:
+            last -= 1
+        for idx in range(first + 1, last):
+            bins[idx] += rate * widths[idx]
+        for idx in {first, last}:
+            lo = max(start, edges[idx])
+            hi = min(end, edges[idx + 1])
             if hi > lo:
                 bins[idx] += rate * (hi - lo)
     return tuple(bins)

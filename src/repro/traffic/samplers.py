@@ -11,7 +11,7 @@ contract — the determinism tests pin it.
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Callable, List
 
 from repro.traffic.specs import ArrivalSpec, SizeSpec
 
@@ -41,12 +41,13 @@ def _poisson(
     rng: random.Random, rate: float, horizon: float, n_max: int
 ) -> List[float]:
     out: List[float] = []
+    expovariate, append = rng.expovariate, out.append
     t = 0.0
     while len(out) < n_max:
-        t += rng.expovariate(rate)
+        t += expovariate(rate)
         if t >= horizon:
             break
-        out.append(t)
+        append(t)
     return out
 
 
@@ -59,17 +60,18 @@ def _onoff(
     n_max: int,
 ) -> List[float]:
     out: List[float] = []
+    expovariate, append = rng.expovariate, out.append
     t = 0.0
     while t < horizon and len(out) < n_max:
-        on_end = t + rng.expovariate(1.0 / mean_on)
+        on_end = t + expovariate(1.0 / mean_on)
         while len(out) < n_max:
-            t += rng.expovariate(rate)
+            t += expovariate(rate)
             if t >= on_end or t >= horizon:
                 break
-            out.append(t)
+            append(t)
         # the overshooting inter-arrival gap is discarded: the next
         # burst restarts the Poisson process after the OFF gap
-        t = min(on_end, horizon) + rng.expovariate(1.0 / mean_off)
+        t = min(on_end, horizon) + expovariate(1.0 / mean_off)
     return out
 
 
@@ -84,34 +86,51 @@ def _flash_crowd(
 ) -> List[float]:
     """Non-homogeneous Poisson via thinning at the peak rate."""
     out: List[float] = []
+    expovariate, uniform, append = rng.expovariate, rng.random, out.append
     t = 0.0
     while len(out) < n_max:
-        t += rng.expovariate(peak)
+        t += expovariate(peak)
         if t >= horizon:
             break
-        if ramp_start <= 0 and ramp_duration <= 0:  # pragma: no cover
-            rate = peak
-        elif t < ramp_start:
+        if t < ramp_start:
             rate = base
         else:
             rate = base + (peak - base) * min(
                 1.0, (t - ramp_start) / ramp_duration
             )
-        if rng.random() < rate / peak:
-            out.append(t)
+        if uniform() < rate / peak:
+            append(t)
     return out
+
+
+def size_sampler(spec: SizeSpec, rng: random.Random) -> Callable[[], int]:
+    """A zero-argument draw of one flow size in bytes (an integer ``>= 1``).
+
+    The ``kind`` dispatch and the distribution's constants are resolved
+    here, once, so a population expansion pays them per class instead
+    of per flow.  ``fixed`` consumes no draw; the other kinds consume
+    exactly one per call.
+    """
+    min_bytes = spec.min_bytes
+    if spec.kind == "fixed":
+        size_bytes = spec.size_bytes
+        return lambda: size_bytes
+    if spec.kind == "exponential":
+        expovariate, lambd = rng.expovariate, 1.0 / spec.mean_bytes
+        return lambda: max(min_bytes, int(expovariate(lambd)))
+    # truncated Pareto: inverse-CDF with the tail clamped to max_bytes.
+    # rng.random() is in [0, 1), so 1 - u is in (0, 1] and u == 0 maps
+    # to the scale min_bytes exactly.
+    uniform, max_bytes = rng.random, spec.max_bytes
+    exponent = -1.0 / spec.alpha
+
+    def pareto() -> int:
+        size = int(min_bytes * (1.0 - uniform()) ** exponent)
+        return min_bytes if size < min_bytes else min(size, max_bytes)
+
+    return pareto
 
 
 def sample_size(spec: SizeSpec, rng: random.Random) -> int:
     """One flow size in bytes (an integer ``>= 1``)."""
-    if spec.kind == "fixed":
-        return spec.size_bytes
-    if spec.kind == "exponential":
-        size = int(rng.expovariate(1.0 / spec.mean_bytes))
-        return max(spec.min_bytes, size)
-    # truncated Pareto: inverse-CDF with the tail clamped to max_bytes.
-    # rng.random() is in [0, 1), so 1 - u is in (0, 1] and u == 0 maps
-    # to the scale min_bytes exactly.
-    u = rng.random()
-    size = spec.min_bytes * (1.0 - u) ** (-1.0 / spec.alpha)
-    return max(spec.min_bytes, min(spec.max_bytes, int(size)))
+    return size_sampler(spec, rng)()
