@@ -30,8 +30,12 @@ exactly what the fabric needs and nothing more:
 The pool is deliberately *not* a general executor: tasks are submitted
 in one batch per section (:meth:`run_tasks`), sections are serialized
 per pool by an internal lock (concurrent same-key sweeps queue up), and
-results are delivered through a callback in completion order — the
-runner owns grid ordering.
+results are delivered through a callback in completion order, after
+freed workers are refilled — the runner owns grid ordering.
+
+The parent is event-driven: it sleeps in ``connection.wait`` until the
+next thing it can act on — a worker reply, the earliest busy-worker
+deadline, or a backoff wake-up with a worker idle to take it.
 """
 
 from __future__ import annotations
@@ -229,12 +233,6 @@ class ResilientPool:
                 self._retire(worker)
             self._workers = []
 
-    # backwards-compatible aliases mirroring multiprocessing.Pool
-    terminate = shutdown
-
-    def join(self) -> None:
-        """No-op alias (shutdown already joins); kept for Pool symmetry."""
-
     # ------------------------------------------------------------------
     # the parallel section
     # ------------------------------------------------------------------
@@ -258,10 +256,13 @@ class ResilientPool:
         payload)`` accepts or rejects a worker response (a rejection is
         an ``invalid`` failure and retries like any other).  Each
         terminal result — success or exhausted retries — is delivered
-        to ``on_outcome`` in completion order.  An exception from
-        ``on_outcome`` (e.g. strict mode re-raising a run error)
-        abandons the section: in-flight workers are killed and
-        respawned so the pool stays protocol-clean and warm.
+        to ``on_outcome`` exactly once, in completion order, after the
+        workers freed in the same turn were sent their next task (so
+        the caller's filing overlaps the next run) and before this
+        method returns.  An exception from ``on_outcome`` (e.g. strict
+        mode re-raising a run error) abandons the section: in-flight
+        workers, the one refilled a moment earlier included, are killed
+        and respawned so the pool stays protocol-clean and warm.
 
         ``observer``, when given, receives span-trace events for the
         section's scheduling decisions: ``{"event": "dispatched", "i",
@@ -309,39 +310,41 @@ class ResilientPool:
             (0.0, next(tiebreak), task_id) for task_id, _ in tasks
         ]
         heapq.heapify(ready)
-        remaining = len(states)
+        remaining = len(states)  # tasks whose outcome is not yet filed
+        finished: List[TaskOutcome] = []  # went terminal this turn
         try:
-            while remaining > 0:
-                now = time.monotonic()
+            now = time.monotonic()
+            while True:
                 self._dispatch_ready(
                     ready, states, now, make_task, run_timeout, observer
                 )
-                busy = [w for w in self._workers if w.busy]
-                if not busy:
-                    if not ready:  # pragma: no cover - defensive
-                        raise RuntimeError("no busy workers and no ready tasks")
-                    time.sleep(min(max(ready[0][0] - now, 0.0), 0.05))
-                    continue
-                wait_timeout = self._wait_timeout(ready, busy, now)
+                # filed only now, with the freed workers already refilled:
+                # the caller's cache write + fsync overlap the next run
+                for outcome in finished:
+                    on_outcome(outcome)
+                remaining -= len(finished)
+                finished.clear()
+                if remaining <= 0:
+                    break
+                busy = {w.conn: w for w in self._workers if w.busy}
+                if not busy and not ready:  # pragma: no cover - defensive
+                    raise RuntimeError("no busy workers and no ready tasks")
                 ready_conns = multiprocessing.connection.wait(
-                    [w.conn for w in busy], timeout=wait_timeout
+                    list(busy), timeout=self._wait_timeout(ready, busy)
                 )
                 now = time.monotonic()
                 for conn in ready_conns:
-                    worker = next(w for w in busy if w.conn is conn)
-                    if not worker.busy:  # already handled this iteration
-                        continue
-                    remaining -= self._collect(
-                        worker, states, ready, tiebreak, now,
-                        on_outcome, validate, max_attempts,
+                    self._collect(
+                        busy[conn], states, ready, tiebreak, now,
+                        finished.append, validate, max_attempts,
                         backoff_base, backoff_cap, observer,
                     )
                 # reap deadline overruns (hung runs)
-                for worker in list(self._workers):
+                for worker in busy.values():
                     if worker.busy and now >= worker.deadline:
-                        remaining -= self._fail_attempt(
+                        self._fail_attempt(
                             worker, states, ready, tiebreak, now,
-                            on_outcome, max_attempts,
+                            finished.append, max_attempts,
                             backoff_base, backoff_cap, observer,
                             kind="timeout",
                             error_type="SweepTimeout",
@@ -376,8 +379,10 @@ class ResilientPool:
             )
             try:
                 worker.conn.send((task_id, message))
-            except Exception:
-                # broken pipe: repair once and retry on the fresh worker
+            except (OSError, EOFError):
+                # broken pipe: repair once and retry on the fresh worker.
+                # A message that will not pickle raises before a byte is
+                # written and propagates with the healthy worker untouched.
                 worker = self._repair(worker)
                 worker.conn.send((task_id, message))
             worker.task_id = task_id
@@ -395,22 +400,29 @@ class ResilientPool:
                     "worker": worker.proc.pid,
                 })
 
-    @staticmethod
-    def _wait_timeout(ready, busy, now) -> Optional[float]:
-        bounds = [w.deadline for w in busy]
-        if ready:
+    def _wait_timeout(self, ready, busy) -> Optional[float]:
+        """Seconds until the parent can act without a worker reply.
+
+        That is the earliest busy-worker deadline, or the head of the
+        ready heap when a worker is idle to take it (a backoff wake-up:
+        ``_dispatch_ready`` just ran, so the head is not yet due).  Work
+        queued behind busy workers bounds nothing — only a reply frees
+        a worker — so the usual answer is ``None``: block.
+        """
+        bounds = [w.deadline for w in busy.values()]
+        if ready and len(busy) < len(self._workers):
             bounds.append(ready[0][0])
-        tightest = min(bounds)
-        if tightest == float("inf"):
+        wake = min(bounds)  # never empty: no busy worker means an idle one
+        if wake == float("inf"):
             return None
-        return min(max(tightest - now, 0.0), 1.0)
+        return max(wake - time.monotonic(), 0.0)
 
     def _collect(
         self, worker, states, ready, tiebreak, now,
         on_outcome, validate, max_attempts, backoff_base, backoff_cap,
         observer=None,
-    ) -> int:
-        """Receive one worker reply; returns 1 if its task went terminal."""
+    ) -> None:
+        """Receive one worker reply; ``on_outcome`` gets a terminal result."""
         try:
             msg = worker.conn.recv()
         except Exception:
@@ -448,7 +460,7 @@ class ResilientPool:
                 attempts=state.attempts,
                 elapsed=state.elapsed,
             ))
-            return 1
+            return
         if tag == "ok":  # failed validation: a corrupted response
             return self._fail_attempt(
                 worker, states, ready, tiebreak, now,
@@ -462,7 +474,7 @@ class ResilientPool:
                 repair=False,
             )
         error_type, message, tb_text, exc = payload
-        return self._fail_attempt(
+        self._fail_attempt(
             worker, states, ready, tiebreak, now,
             on_outcome, max_attempts, backoff_base, backoff_cap, observer,
             kind="error",
@@ -478,8 +490,8 @@ class ResilientPool:
         on_outcome, max_attempts, backoff_base, backoff_cap, observer=None,
         *, kind, error_type, message, traceback_text="", exception=None,
         repair,
-    ) -> int:
-        """Handle one failed attempt; returns 1 if the task went terminal."""
+    ) -> None:
+        """Re-queue a failed attempt, or give ``on_outcome`` its last one."""
         task_id = worker.task_id
         state = states[task_id]
         if kind in ("crash", "timeout"):
@@ -507,7 +519,7 @@ class ResilientPool:
                     "kind": kind,
                     "delay": round(delay, 6),
                 })
-            return 0
+            return
         on_outcome(TaskOutcome(
             task_id=task_id,
             failure=kind,
@@ -518,4 +530,3 @@ class ResilientPool:
             attempts=state.attempts,
             elapsed=state.elapsed,
         ))
-        return 1

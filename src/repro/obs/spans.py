@@ -4,6 +4,13 @@ Every sweep cell progresses through a small state machine::
 
     queued -> dispatched -> (retry(n) -> dispatched ...)* -> done | failed
 
+That order holds for each cell's own events (same ``i``).  Order
+*across* cells on one worker is not a contract: the pool refills a
+freed worker before the runner files the cell it just finished, so a
+worker's ``dispatched`` for its next cell may precede the ``done`` of
+its previous one.  Consumers key on ``i`` (and take busy time from the
+``wall`` a ``done`` event carries), never on adjacency.
+
 The runner emits one flat dict per transition through its ``observer``
 callback; :class:`SpanWriter` timestamps each event relative to the
 sweep start, keeps it in memory, and — when given a path — appends it

@@ -18,6 +18,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -852,6 +853,13 @@ class TestChaosSpanReconciliation:
         queued = {e["i"] for e in spans if e["event"] == "queued"}
         dispatched = {e["i"] for e in spans if e["event"] == "dispatched"}
         assert queued == dispatched == {0, 1, 2, 3}
+        # ... in order, cell by cell (order across cells is no contract:
+        # a worker is refilled before its finished cell is filed)
+        for i in range(4):
+            own = " ".join(e["event"] for e in spans if e.get("i") == i)
+            assert re.fullmatch(
+                "queued dispatched( retry dispatched)* (done|failed)", own
+            ), (i, own)
 
 
 # ----------------------------------------------------------------------
