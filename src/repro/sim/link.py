@@ -12,6 +12,7 @@ Duplex connectivity is two independent ``Link`` objects (see
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Protocol, TYPE_CHECKING
 
 from repro.sim.engine import Simulator
@@ -88,10 +89,16 @@ class Link:
         marker: Optional[Marker] = None,
         name: Optional[str] = None,
     ):
-        if rate_bps <= 0:
-            raise ValueError("link rate must be positive")
-        if delay < 0:
-            raise ValueError("link delay must be non-negative")
+        label = name or f"{src.name}->{dst.name}"
+        if not (math.isfinite(rate_bps) and rate_bps > 0):
+            raise ValueError(
+                f"link {label}: rate must be positive and finite (got {rate_bps!r})"
+            )
+        if not (math.isfinite(delay) and delay >= 0):
+            raise ValueError(
+                f"link {label}: delay must be non-negative and finite "
+                f"(got {delay!r})"
+            )
         self.sim = sim
         self.src = src
         self.dst = dst
@@ -100,7 +107,7 @@ class Link:
         self.queue = queue if queue is not None else DropTailQueue()
         self.channel = channel
         self.marker = marker
-        self.name = name or f"{src.name}->{dst.name}"
+        self.name = label
         self.stats = LinkStats()
         self._busy = False
         self.on_drop: Optional[Callable[[Packet], None]] = None

@@ -1,8 +1,9 @@
 """Network container, static routing and canonical topology builders.
 
 :class:`Network` owns nodes and links, and computes static shortest-path
-routes (by propagation delay) with :mod:`networkx`.  The builders create
-the standard evaluation topologies:
+routes (by propagation delay) with one first-hop Dijkstra pass per
+source (:func:`_first_hops`).  The builders create the standard
+evaluation topologies:
 
 * :func:`dumbbell` — N sources, N sinks, one shared bottleneck;
 * :func:`chain` — an H-hop path (multi-hop / ad-hoc experiments);
@@ -12,9 +13,8 @@ the standard evaluation topologies:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -117,18 +117,13 @@ class Network:
     # ------------------------------------------------------------------
     def compute_routes(self) -> None:
         """Fill every node's next-hop table with delay-weighted shortest paths."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes)
+        # 1e-9 per hop: a zero-delay link still costs something, so among
+        # equal delays the path with fewer hops wins
+        succ: Dict[str, List[Tuple[str, float]]] = {name: [] for name in self.nodes}
         for (src, dst), link in self._links.items():
-            graph.add_edge(src, dst, weight=link.delay + 1e-9)
-        paths = dict(nx.all_pairs_dijkstra_path(graph, weight="weight"))
+            succ[src].append((dst, link.delay + 1e-9))
         for name, node in self.nodes.items():
-            table: Dict[str, str] = {}
-            for dst, path in paths.get(name, {}).items():
-                if dst == name or len(path) < 2:
-                    continue
-                table[dst] = path[1]
-            node.next_hop = table
+            node.next_hop = _first_hops(succ, name)
 
     def path_delay(self, src: str, dst: str) -> float:
         """Sum of propagation delays along the routed path src -> dst."""
@@ -148,6 +143,43 @@ class Network:
             if guard > len(self.nodes) + 1:
                 raise RuntimeError("routing loop detected")
         return total
+
+
+def _first_hops(
+    succ: Dict[str, List[Tuple[str, float]]], source: str
+) -> Dict[str, str]:
+    """Dijkstra from ``source``, keeping only each path's first hop.
+
+    Returns ``{destination: neighbour of source}`` for every reachable
+    destination other than ``source``, in order of distance.
+
+    Which of several equal-cost paths wins is pinned by data
+    (``benchmarks/goldens/next_hop_goldens.json``) and decides packet
+    paths, so it must not drift: successors relax in link insertion
+    order, only a *strict* improvement replaces a tentative route, and
+    the heap breaks distance ties by push order.
+    """
+    table: Dict[str, str] = {}
+    first: Dict[str, str] = {}  # tentative first hop of every seen node
+    seen = {source: 0.0}  # no link back improves on 0, so source stays out
+    fringe: List[Tuple[float, int, str]] = [(0.0, 0, source)]
+    pushes = 1
+    while fringe:
+        dist, _, v = heappop(fringe)
+        if v in table:
+            continue  # stale entry: v was settled by a shorter route
+        if v != source:
+            table[v] = first[v]
+        for u, cost in succ[v]:
+            if u in table:
+                continue
+            reach = dist + cost
+            if u not in seen or reach < seen[u]:
+                seen[u] = reach
+                first[u] = u if v == source else first[v]
+                heappush(fringe, (reach, pushes, u))
+                pushes += 1
+    return table
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,8 @@ benchmark tables fingerprint it (see
    (sampled once per ``build``, mirroring ``REPRO_NO_POOL``) skips
    fluid compilation entirely: no events, no RNG streams, a
    byte-identical foreground-only run.
-3. **Routes**: one ``compute_routes()`` pass.
+3. **Routes**: one ``compute_routes()`` pass, then a pre-flight that
+   every flow's ``src -> dst`` and ``dst -> src`` (ACK) path exists.
 4. **Flows**, in spec order.  Per flow: sender constructed, receiver
    constructed, sender attached, receiver attached, then the schedule
    (``start == 0`` starts the sender immediately — *during* the build,
@@ -220,6 +221,7 @@ def build(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
                 )
     # 3. routes
     net.compute_routes()
+    _check_routable(spec, net)
     # 4. flows in spec order
     for fs in spec.flows:
         recorder = None
@@ -247,6 +249,30 @@ def build(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
             tracer.attach(link)
         built.tracer = tracer
     return built
+
+
+def _check_routable(spec: ScenarioSpec, net: Network) -> None:
+    """Reject a flow whose data or ACK path has no route.
+
+    Without this the same mistake surfaces as a ``RoutingError`` from
+    the first ``sender.start()`` — mid-run for a scheduled start or a
+    missing reverse path.  Table lookups only: no events, no draws.
+    """
+    checked = set()
+    for fs in spec.flows:
+        pair = (fs.src, fs.dst)
+        if pair in checked:
+            continue
+        checked.add(pair)
+        for direction, (here, there) in (
+            ("forward", pair), ("reverse (ACK)", pair[::-1])
+        ):
+            node = net.nodes.get(here)
+            if node is None or there not in node.next_hop:
+                raise ValueError(
+                    f"scenario {spec.name!r}: flow {fs.flow_id!r} has no "
+                    f"{direction} route {here!r} -> {there!r}"
+                )
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ drifting copies of the same builder code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -230,6 +231,20 @@ class LinkSpec:
     duplex: bool = True
     background: Optional[BackgroundLoadSpec] = None
 
+    def __post_init__(self) -> None:
+        # NaN passes every ``<`` check and then poisons routing (each
+        # Dijkstra comparison is false) and the event clock
+        if not (math.isfinite(self.rate_bps) and self.rate_bps > 0):
+            raise ValueError(
+                f"link {self.src!r} -> {self.dst!r}: rate_bps must be "
+                f"positive and finite (got {self.rate_bps!r})"
+            )
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ValueError(
+                f"link {self.src!r} -> {self.dst!r}: delay must be "
+                f"non-negative and finite (got {self.delay!r})"
+            )
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -259,7 +274,7 @@ class TopologySpec:
                 seen.add(pair)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowSpec:
     """One transport flow: endpoints, profile, schedule.
 
@@ -285,6 +300,9 @@ class FlowSpec:
     completion; a flow that exhausts its budget earlier stops then, and
     the later scheduled ``stop`` is a harmless no-op.  ``None`` (the
     default) keeps the historical unbounded bulk flow.
+
+    Slotted, because a generated population holds one instance per flow
+    (100,000 on the hybrid tier): there is no per-instance ``__dict__``.
     """
 
     flow_id: str

@@ -1,6 +1,8 @@
 """Unit tests for the declarative topology subsystem (repro.topo)."""
 
 import dataclasses
+import json
+import pickle
 
 import pytest
 
@@ -124,6 +126,59 @@ class TestSpecValidation:
                 LinkSpec("b", "a", 5e5, 0.05, duplex=False),
             )
         )
+
+    @pytest.mark.parametrize(
+        "rate_bps,delay,field",
+        [
+            (float("nan"), 0.01, "rate_bps"),
+            (float("inf"), 0.01, "rate_bps"),
+            (0.0, 0.01, "rate_bps"),
+            (-1e6, 0.01, "rate_bps"),
+            (1e6, float("nan"), "delay"),
+            (1e6, float("inf"), "delay"),
+            (1e6, -0.01, "delay"),
+        ],
+    )
+    def test_link_rejects_non_numbers(self, rate_bps, delay, field):
+        # NaN is the one that slips past plain ``<`` checks
+        with pytest.raises(ValueError, match=f"'a' -> 'b': {field}"):
+            LinkSpec("a", "b", rate_bps, delay)
+
+    def test_zero_delay_link_is_legal(self):
+        assert LinkSpec("a", "b", 1e6, 0.0).delay == 0.0
+
+
+class TestSlottedFlowSpec:
+    """``FlowSpec`` is slotted (a 100k-flow population holds 100k of
+    them); everything that copies or serialises one must still work."""
+
+    FLOW = FlowSpec("f", "a", "b", transport="gtfrc", target_bps=2e6,
+                    start=1.0, stop=9.0, size_bytes=50_000)
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(self.FLOW, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.FLOW.start = 2.0
+
+    def test_replace_revalidates(self):
+        later = dataclasses.replace(self.FLOW, start=2.0)
+        assert (later.start, later.stop, later.flow_id) == (2.0, 9.0, "f")
+        with pytest.raises(ValueError, match="stop"):
+            dataclasses.replace(self.FLOW, start=9.0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        spec = t1_dumbbell_spec("qtpaf", 4e6, n_cross=2)
+        for obj in (self.FLOW, spec):
+            clone = pickle.loads(pickle.dumps(obj, protocol))
+            assert clone == obj and hash(clone) == hash(obj)
+
+    def test_scenario_json_round_trip(self):
+        spec = parking_lot_spec("gtfrc", 2e6)
+        payload = json.loads(json.dumps(dataclasses.asdict(spec)))
+        assert payload["name"] == "parking_lot"
+        flows = tuple(FlowSpec(**flow) for flow in payload["flows"])
+        assert flows == spec.flows
 
 
 class TestChannelSpec:
@@ -253,6 +308,32 @@ class TestCompiler:
         built = build(sim, spec)
         with pytest.raises(KeyError):
             built.link("b", "a")
+
+    @pytest.mark.parametrize(
+        "flow,direction",
+        [
+            # the data path exists, the ACK path does not
+            (dict(src="a", dst="b"), r"reverse \(ACK\) route 'b' -> 'a'"),
+            (dict(src="b", dst="a"), "forward route 'b' -> 'a'"),
+            # a scheduled start used to fail from inside the event loop
+            (dict(src="b", dst="a", start=3.0), "forward route 'b' -> 'a'"),
+            (dict(src="a", dst="nowhere"), "forward route 'a' -> 'nowhere'"),
+        ],
+    )
+    def test_unroutable_flow_rejected_at_build(self, flow, direction):
+        sim = Simulator()
+        spec = ScenarioSpec(
+            name="oneway",
+            topology=TopologySpec(
+                links=(LinkSpec("a", "b", 1e6, 0.01, duplex=False),)
+            ),
+            flows=(FlowSpec("f", **flow),),
+        )
+        with pytest.raises(
+            ValueError, match=f"scenario 'oneway': flow 'f' has no {direction}"
+        ):
+            build(sim, spec)
+        assert sim.pending == 0  # rejected before anything is scheduled
 
     def test_queue_kinds(self):
         sim = Simulator()

@@ -92,6 +92,13 @@ class TestLinkDelivery:
         net = Network(sim)
         with pytest.raises(ValueError):
             net.add_simplex_link("a", "b", rate_bps=0.0, delay=0.1)
+        # NaN passes a plain ``delay < 0`` check; the message names the link
+        for rate_bps, delay in [
+            (float("nan"), 0.1), (float("inf"), 0.1),
+            (1e6, float("nan")), (1e6, float("inf")), (1e6, -0.1),
+        ]:
+            with pytest.raises(ValueError, match="link a->b"):
+                net.add_simplex_link("a", "b", rate_bps=rate_bps, delay=delay)
 
 
 class TestRouting:
