@@ -20,15 +20,23 @@ Module map
     share.  ``REPRO_NO_FLUID=1`` disables compilation entirely
     (byte-identical foreground-only runs, mirroring ``REPRO_NO_POOL``).
 :mod:`repro.fluid.derive`
-    :func:`background_from_population` (``PopulationSpec`` → profile
-    via the population's own samplers) and :func:`hybridize`
-    (``ScenarioSpec`` → packet-level foreground + fluid background on
-    the bottlenecks).
+    The two doors from a population to a fluid background.  Door 1
+    derives it from the population itself, streaming the population's
+    own draws into the profile without building a flow:
+    :func:`background_from_population` (``PopulationSpec`` →
+    ``BackgroundLoadSpec``) and :func:`add_population_background`
+    (foreground-only ``ScenarioSpec`` → the same plus that background
+    on the bottlenecks).  Door 2, :func:`hybridize`, transforms a
+    ``ScenarioSpec`` that already holds the expanded flows into
+    packet-level foreground + fluid background.
 
 Quickstart::
 
-    from repro.fluid import hybridize
-    hybrid = hybridize(spec, population, seed=0)   # same spec, hybrid
+    from repro.fluid import add_population_background, hybridize
+    # the crowd never exists as flows: O(epochs) memory at any size
+    hybrid = add_population_background(foreground, population, seed=0)
+    # or: convert the expanded flows of a spec you already hold
+    hybrid = hybridize(spec, population, seed=0)
     # ... build(sim, hybrid) runs foreground packet-level only
 
 Validation: the "fluid" goldens section pins hybrid runs bit-exactly,
@@ -48,6 +56,7 @@ from repro.fluid.specs import BACKGROUND_KINDS, BackgroundLoadSpec  # noqa: F401
 #: traffic.population`` and ``import repro.traffic`` fails in a fresh
 #: interpreter.
 _DERIVE_NAMES = (
+    "add_population_background",
     "background_from_population",
     "background_from_population_flows",
     "hybridize",
@@ -65,6 +74,7 @@ __all__ = [
     "BACKGROUND_KINDS",
     "BackgroundLoadSpec",
     "FluidSource",
+    "add_population_background",
     "background_from_population",
     "background_from_population_flows",
     "hybridize",

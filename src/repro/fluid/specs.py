@@ -32,6 +32,7 @@ kind that does not consume it is an error, never silently ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -148,8 +149,11 @@ class BackgroundLoadSpec:
                     "population background requires a profile "
                     "(see repro.fluid.derive.background_from_population)"
                 )
-            if any(b < 0 for b in self.profile):
-                raise ValueError("profile entries must be non-negative bytes")
+            # written so that nan (every comparison false) is rejected
+            if not all(0 <= b < math.inf for b in self.profile):
+                raise ValueError(
+                    "profile entries must be finite, non-negative bytes"
+                )
         if self.epoch <= 0:
             raise ValueError("epoch must be positive")
         if self.start < 0:

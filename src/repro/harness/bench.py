@@ -380,19 +380,21 @@ def _bench_population_1000() -> float:
 def _bench_population_100k_hybrid() -> float:
     """Macro: a 100,000-flow crowd at hybrid fidelity (PR 10).
 
-    The ``hybrid_flash_crowd`` scenario with the crowd fluidized: the
-    population is still expanded flow by flow — exactly once, in
-    ``flash_crowd_spec``; ``hybridize`` selects the background from
-    that expansion instead of drawing it again — but its bytes run
-    through one :class:`repro.fluid.FluidSource` per bottleneck instead
-    of 100k packet transports, so the event count stays bounded by the
-    foreground plus the epoch clock.  About half of what is left is
-    still spec side (expansion, offered-load profile); ``perf/run.py
-    --workload hybrid_100k --trace 1`` has the ledger.  Paired with
-    ``population_1000`` (full packet fidelity) this pins the scale
-    argument for hybrid runs: 100x the population for a few times the
-    wall clock.  ``benchmarks/test_p3_hybrid_scale`` records the
-    comparison as a table.
+    The ``hybrid_flash_crowd`` scenario with the crowd fluidized: every
+    one of the 100,000 arrivals is still drawn, exactly as a
+    packet-level expansion would draw it, but it is binned into the
+    offered-load profile and dropped
+    (:func:`repro.fluid.add_population_background`) — no ``FlowSpec``
+    is built for it — and its bytes run through one
+    :class:`repro.fluid.FluidSource` per bottleneck instead of 100k
+    packet transports, so memory stays at a packet run's and the event
+    count stays bounded by the foreground plus the epoch clock.  About
+    a third of what is left is spec side (the draws and the binning);
+    ``perf/run.py --workload hybrid_100k --trace 1`` has the ledger.
+    Paired with ``population_1000`` (full packet fidelity) this pins
+    the scale argument for hybrid runs: 100x the population for a few
+    times the wall clock.  ``benchmarks/test_p3_hybrid_scale`` records
+    the comparison as a table.
     """
     from repro.harness.registry import get_scenario
 

@@ -28,6 +28,7 @@ from repro.harness.experiments.estimation import (  # noqa: F401
 from repro.harness.experiments.flash_crowd import (  # noqa: F401
     FLASH_CROWD_PROTOCOLS,
     FlashCrowdResult,
+    flash_crowd_foreground_spec,
     flash_crowd_population,
     flash_crowd_scenario,
     flash_crowd_spec,

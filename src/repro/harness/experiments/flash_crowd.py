@@ -45,8 +45,8 @@ def flash_crowd_population(
     duration: float = 12.0,
 ) -> PopulationSpec:
     """The crowd population, shared by the packet-level spec and the
-    hybrid scenario (``repro.fluid.hybridize`` needs the same spec the
-    expansion came from)."""
+    hybrid scenario (``repro.fluid`` derives the background from the
+    same spec the expansion comes from)."""
     return PopulationSpec(
         name="crowd",
         arrival=ArrivalSpec(
@@ -75,27 +75,18 @@ def flash_crowd_population(
     )
 
 
-def flash_crowd_spec(
+def flash_crowd_foreground_spec(
     protocol: str,
     target_bps: float,
     *,
     n_hosts: int = 24,
-    n_flows: int = 80,
-    base_rate_per_s: float = 2.0,
-    peak_rate_per_s: float = 40.0,
-    ramp_start: float = 2.0,
-    ramp_duration: float = 2.0,
-    mouse_min_kbytes: float = 8.0,
-    mouse_max_kbytes: float = 200.0,
     bottleneck_bps: float = 20e6,
-    duration: float = 12.0,
-    seed: int = 0,
 ) -> ScenarioSpec:
-    """Compose the flash-crowd scenario spec (topology + flows).
+    """The scenario without its crowd: access star + the assured flow.
 
-    Host ``h0`` carries the assured flow; the crowd population draws
-    its endpoints from the remaining hosts.  The expansion is a pure
-    function of ``(parameters, seed)`` — the traffic goldens pin it.
+    Host ``h0`` carries the assured flow.  :func:`flash_crowd_spec`
+    adds the crowd as packet-level flows;
+    :func:`repro.fluid.add_population_background` adds it as fluid.
     """
     if protocol not in FLASH_CROWD_PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -114,9 +105,42 @@ def flash_crowd_spec(
                 ),
             )
             break
-    topology = TopologySpec(links=tuple(links), nodes=topology.nodes)
     assured = FlowSpec(
         "assured", "h0", "srv", transport=protocol, target_bps=target_bps
+    )
+    return ScenarioSpec(
+        name="flash_crowd",
+        topology=TopologySpec(links=tuple(links), nodes=topology.nodes),
+        flows=(assured,),
+        description="assured flow vs a generated TCP flash crowd",
+    )
+
+
+def flash_crowd_spec(
+    protocol: str,
+    target_bps: float,
+    *,
+    n_hosts: int = 24,
+    n_flows: int = 80,
+    base_rate_per_s: float = 2.0,
+    peak_rate_per_s: float = 40.0,
+    ramp_start: float = 2.0,
+    ramp_duration: float = 2.0,
+    mouse_min_kbytes: float = 8.0,
+    mouse_max_kbytes: float = 200.0,
+    bottleneck_bps: float = 20e6,
+    duration: float = 12.0,
+    seed: int = 0,
+) -> ScenarioSpec:
+    """Compose the flash-crowd scenario spec (topology + flows).
+
+    :func:`flash_crowd_foreground_spec` plus the expanded crowd
+    population, which draws its endpoints from the hosts other than
+    ``h0``.  The expansion is a pure function of ``(parameters, seed)``
+    — the traffic goldens pin it.
+    """
+    foreground = flash_crowd_foreground_spec(
+        protocol, target_bps, n_hosts=n_hosts, bottleneck_bps=bottleneck_bps
     )
     population = flash_crowd_population(
         n_hosts=n_hosts,
@@ -129,12 +153,9 @@ def flash_crowd_spec(
         mouse_max_kbytes=mouse_max_kbytes,
         duration=duration,
     )
-    flows = (assured,) + expand_population(population, seed)
-    return ScenarioSpec(
-        name="flash_crowd",
-        topology=topology,
-        flows=flows,
-        description="assured flow vs a generated TCP flash crowd",
+    return replace(
+        foreground,
+        flows=foreground.flows + expand_population(population, seed),
     )
 
 

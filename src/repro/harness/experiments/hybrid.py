@@ -10,9 +10,14 @@ fidelities through one parameter:
     builds;
 
 ``fidelity="hybrid"``
-    the population's best-effort flows are removed and replayed as an
-    aggregate fluid background (:func:`repro.fluid.hybridize`) at the
-    RIO bottleneck, while the *assured* foreground stays packet-level.
+    the population's best-effort flows run as an aggregate fluid
+    background at the RIO bottleneck while the *assured* foreground
+    stays packet-level.  W1's crowd is all background, so it is derived
+    straight from the population
+    (:func:`repro.fluid.add_population_background`) and never exists
+    as flows; W2's elephants are population flows that stay
+    packet-level, so its expanded spec is split
+    (:func:`repro.fluid.hybridize`).
 
 Both fidelities share one result contract: foreground metrics are
 comparable across fidelities (the paired equivalence tests in
@@ -27,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fluid import hybridize
+from repro.fluid import add_population_background, hybridize
 from repro.harness.experiments.flash_crowd import (
     FLASH_CROWD_PROTOCOLS,
+    flash_crowd_foreground_spec,
     flash_crowd_population,
     flash_crowd_spec,
 )
@@ -102,42 +108,44 @@ def hybrid_flash_crowd_scenario(
 
     ``fidelity="hybrid"`` replays the whole crowd population as a fluid
     offered-load profile at the RIO bottleneck (the assured flow stays
-    packet-level); ``fidelity="packet"`` runs the identical spec with
-    every mouse as a real TCP flow.  The achieved rate / assurance
-    ratio are directly comparable between the two.
+    packet-level); ``fidelity="packet"`` runs the same foreground with
+    every mouse of that population as a real TCP flow.  The achieved
+    rate / assurance ratio are directly comparable between the two.
     """
     _check_fidelity(fidelity)
     if protocol not in FLASH_CROWD_PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    spec = flash_crowd_spec(
-        protocol,
-        target_bps,
+    crowd = dict(
         n_hosts=n_hosts,
         n_flows=n_flows,
         base_rate_per_s=base_rate_per_s,
         peak_rate_per_s=peak_rate_per_s,
         ramp_start=ramp_start,
         ramp_duration=ramp_duration,
-        bottleneck_bps=bottleneck_bps,
         duration=duration,
-        seed=seed,
     )
     if fidelity == "hybrid":
-        population = flash_crowd_population(
-            n_hosts=n_hosts,
-            n_flows=n_flows,
-            base_rate_per_s=base_rate_per_s,
-            peak_rate_per_s=peak_rate_per_s,
-            ramp_start=ramp_start,
-            ramp_duration=ramp_duration,
-            duration=duration,
-        )
-        spec = hybridize(
-            spec,
-            population,
+        # the crowd is all background: derive it from the population
+        # and never build the flows (O(epochs) memory at any n_flows)
+        spec = add_population_background(
+            flash_crowd_foreground_spec(
+                protocol,
+                target_bps,
+                n_hosts=n_hosts,
+                bottleneck_bps=bottleneck_bps,
+            ),
+            flash_crowd_population(**crowd),
             seed=seed,
             epoch=epoch,
             per_flow_rate_bps=bg_flow_rate_bps,
+        )
+    else:
+        spec = flash_crowd_spec(
+            protocol,
+            target_bps,
+            bottleneck_bps=bottleneck_bps,
+            seed=seed,
+            **crowd,
         )
     sim = Simulator(seed=seed)
     built = build(sim, spec)

@@ -10,6 +10,13 @@ distribution) never perturbs another (the arrival times), which is
 what keeps population sweeps comparable across parameters; the
 determinism tests pin both properties.
 
+The draws themselves come from one private generator,
+``_population_draws``: ``expand_population`` wraps each in a
+``FlowSpec``, while hybrid fidelity (:mod:`repro.fluid.derive`) feeds
+their ``(start, size_bytes)`` straight to :func:`bin_offered_load` and
+never holds a flow — one draw loop and one binning loop behind both
+fidelities.
+
 :func:`apply_slas` closes the DiffServ loop: every assured flow the
 expander emitted needs an srTCM edge meter on its access link, and
 this rewrites a :class:`~repro.topo.specs.TopologySpec` to attach
@@ -23,10 +30,10 @@ import random
 from bisect import bisect_right
 from dataclasses import replace
 from itertools import accumulate
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.topo.specs import FlowSpec, MarkerSpec, SlaSpec, TopologySpec
-from repro.traffic.samplers import sample_arrivals, size_sampler
+from repro.traffic.samplers import iter_arrivals, size_sampler
 from repro.traffic.specs import PopulationSpec
 
 #: Transports whose flows hold a per-flow AF guarantee.
@@ -37,19 +44,53 @@ def expand_population(spec: PopulationSpec, seed: int) -> Tuple[FlowSpec, ...]:
     """Expand one population into concrete flows, in arrival order.
 
     Flow ids are ``f"{class.name}{i}"`` with ``i`` the arrival index
-    across the whole population, so ids are unique even across classes.
+    across the whole population, so ids are unique even across classes
+    (class names may not end in a digit — see
+    :class:`~repro.traffic.specs.FlowClassSpec`).
     Best-effort flows draw their endpoint pair uniformly *with*
     replacement; assured flows draw *without* replacement (each needs
     its own conditioned access link — see :func:`apply_slas`) and a
     population with more assured arrivals than endpoint pairs raises
     ``ValueError``.
     """
+    # positional: flow_id, src, dst, transport, target_bps, record,
+    # start, stop, p_scaling, sack, size_bytes
+    return tuple(
+        FlowSpec(
+            f"{name}{i}", src, dst, transport, target_bps, record,
+            start, None, False, True, size,
+        )
+        for name, i, src, dst, transport, target_bps, record, start, size
+        in _population_draws(spec, seed)
+    )
+
+
+#: One arrival as :func:`_population_draws` yields it: ``(class name,
+#: index, src, dst, transport, target_bps, record, start, size_bytes)``.
+PopulationDraw = Tuple[
+    str, int, str, str, str, Optional[float], bool, float, int
+]
+
+
+def _population_draws(
+    spec: PopulationSpec, seed: int
+) -> Iterator[PopulationDraw]:
+    """The population's raw per-arrival draws, one at a time.
+
+    Everything :func:`expand_population` knows about a flow, before it
+    is a ``FlowSpec``: the single draw loop behind both fidelities.
+    The packet-level tier wraps each draw in a ``FlowSpec``; the hybrid
+    tier (:func:`repro.fluid.derive.background_from_population`) reads
+    ``start`` and ``size_bytes`` off it and lets it go, so a background
+    of any size costs O(1) memory.  The four streams are independent,
+    so pulling arrival times lazily instead of up front moves no draw.
+    """
     arrivals_rng = _stream(spec, seed, "arrivals")
     classes_rng = _stream(spec, seed, "classes")
     sizes_rng = _stream(spec, seed, "sizes")
     endpoints_rng = _stream(spec, seed, "endpoints")
 
-    times = sample_arrivals(
+    times = iter_arrivals(
         spec.arrival, arrivals_rng, spec.horizon, spec.n_flows
     )
     # per-class constants, resolved once.  bounds[k] is the cumulative
@@ -68,7 +109,6 @@ def expand_population(spec: PopulationSpec, seed: int) -> Tuple[FlowSpec, ...]:
     assured_pool: List[Tuple[str, str]] = list(endpoints)
     pick, randrange = classes_rng.random, endpoints_rng.randrange
 
-    flows: List[FlowSpec] = []
     for i, t in enumerate(times):
         # one `classes` draw per flow regardless of the class count, so
         # adding a class never shifts which draw later flows consume
@@ -87,13 +127,7 @@ def expand_population(spec: PopulationSpec, seed: int) -> Tuple[FlowSpec, ...]:
             src, dst = assured_pool.pop(randrange(len(assured_pool)))
         else:
             src, dst = endpoints[randrange(len(endpoints))]
-        # positional: flow_id, src, dst, transport, target_bps, record,
-        # start, stop, p_scaling, sack, size_bytes
-        flows.append(FlowSpec(
-            f"{name}{i}", src, dst, transport, target_bps, record,
-            start + t, None, False, True, size,
-        ))
-    return tuple(flows)
+        yield name, i, src, dst, transport, target_bps, record, start + t, size
 
 
 def _stream(spec: PopulationSpec, seed: int, substream: str) -> random.Random:
@@ -108,27 +142,54 @@ def offered_load_profile(
 ) -> Tuple[float, ...]:
     """Bin the flows' offered bytes into per-epoch buckets.
 
+    :func:`bin_offered_load` over each flow's ``(start, size_bytes)``.
+    Because the input is the *expanded* flow tuple, the same
+    ``(spec, seed)`` that drives a packet-level run yields exactly the
+    bytes the fluid model offers — that is what the hybrid/packet
+    equivalence tests lean on.  Flows without a ``size_bytes`` budget
+    have no defined offered volume and raise ``ValueError``.
+    """
+    return bin_offered_load(
+        flow_deposits(flows), epoch, horizon, per_flow_rate_bps
+    )
+
+
+def flow_deposits(flows: Iterable[FlowSpec]) -> Iterator[Tuple[float, int]]:
+    """Each flow's ``(start, size_bytes)`` deposit, in flow order."""
+    for flow in flows:
+        if flow.size_bytes is None:
+            raise ValueError(
+                f"flow {flow.flow_id!r} has no size_bytes budget; offered "
+                "load is only defined for finite flows"
+            )
+        yield flow.start, flow.size_bytes
+
+
+def bin_offered_load(
+    deposits: Iterable[Tuple[float, int]],
+    epoch: float,
+    horizon: Optional[float] = None,
+    per_flow_rate_bps: Optional[float] = None,
+) -> Tuple[float, ...]:
+    """Bin ``(start, size_bytes)`` deposits into per-epoch buckets.
+
     The population→aggregate derivation behind hybrid fidelity
-    (:mod:`repro.fluid`): each flow's byte budget is deposited along
-    the time axis, either entirely in its arrival epoch (the default)
-    or spread at ``per_flow_rate_bps`` from its start (modeling
-    access-link pacing).  Because the input is the *expanded* flow
-    tuple, the same ``(spec, seed)`` that drives a packet-level run
-    yields exactly the bytes the fluid model offers — that is what the
-    hybrid/packet equivalence tests lean on.
+    (:mod:`repro.fluid`): each deposit's byte budget is laid along the
+    time axis, either entirely in its arrival epoch (the default) or
+    spread at ``per_flow_rate_bps`` from its start (modeling
+    access-link pacing).
 
     ``per_flow_rate_bps`` of ``None`` or ``0`` means "deposit in the
     arrival epoch"; a negative rate is rejected.  ``horizon=None``
     sizes the profile to cover every deposit; an explicit horizon
-    truncates (late bytes are discarded).  Flows without a
-    ``size_bytes`` budget have no defined offered volume and raise
-    ``ValueError``.
+    truncates (late bytes are discarded).
 
-    One pass over ``flows`` (any iterable).  Each bin accumulates its
-    deposits in flow order and every term is ``rate * (hi - lo)`` with
-    ``lo``/``hi`` the deposit clamped to the bin's edges ``idx *
-    epoch`` and ``(idx + 1) * epoch``, so a profile is a float-exact
-    function of its inputs (``perf/expected/`` pins it that way).
+    One pass over ``deposits`` (any iterable, never held).  Each bin
+    accumulates its deposits in input order and every term is ``rate *
+    (hi - lo)`` with ``lo``/``hi`` the deposit clamped to the bin's
+    edges ``idx * epoch`` and ``(idx + 1) * epoch``, so a profile is a
+    float-exact function of its inputs (``perf/expected/`` pins it
+    that way).
     """
     if epoch <= 0:
         raise ValueError("epoch must be positive")
@@ -149,13 +210,7 @@ def offered_load_profile(
             widths.append(edges[idx + 1] - edges[idx])
 
     cover(int(horizon / epoch) + 1 if truncate and horizon > 0 else 1)
-    for flow in flows:
-        size, start = flow.size_bytes, flow.start
-        if size is None:
-            raise ValueError(
-                f"flow {flow.flow_id!r} has no size_bytes budget; offered "
-                "load is only defined for finite flows"
-            )
+    for start, size in deposits:
         if truncate and start >= horizon > 0:
             continue
         duration = size * 8.0 / per_flow_rate_bps if per_flow_rate_bps else 0.0

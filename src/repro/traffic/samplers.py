@@ -11,7 +11,7 @@ contract — the determinism tests pin it.
 from __future__ import annotations
 
 import random
-from typing import Callable, List
+from typing import Callable, Iterator, List
 
 from repro.traffic.specs import ArrivalSpec, SizeSpec
 
@@ -20,6 +20,14 @@ def sample_arrivals(
     spec: ArrivalSpec, rng: random.Random, horizon: float, n_max: int
 ) -> List[float]:
     """Arrival times in ``(0, horizon)``, at most ``n_max``, ascending."""
+    return list(iter_arrivals(spec, rng, horizon, n_max))
+
+
+def iter_arrivals(
+    spec: ArrivalSpec, rng: random.Random, horizon: float, n_max: int
+) -> Iterator[float]:
+    """:func:`sample_arrivals` one arrival at a time: the same draws in
+    the same order, made as the consumer pulls, the list never held."""
     if spec.kind == "poisson":
         return _poisson(rng, spec.rate_per_s, horizon, n_max)
     if spec.kind == "onoff":
@@ -39,16 +47,14 @@ def sample_arrivals(
 
 def _poisson(
     rng: random.Random, rate: float, horizon: float, n_max: int
-) -> List[float]:
-    out: List[float] = []
-    expovariate, append = rng.expovariate, out.append
+) -> Iterator[float]:
+    expovariate = rng.expovariate
     t = 0.0
-    while len(out) < n_max:
+    for _ in range(n_max):
         t += expovariate(rate)
         if t >= horizon:
             break
-        append(t)
-    return out
+        yield t
 
 
 def _onoff(
@@ -58,21 +64,21 @@ def _onoff(
     mean_off: float,
     horizon: float,
     n_max: int,
-) -> List[float]:
-    out: List[float] = []
-    expovariate, append = rng.expovariate, out.append
+) -> Iterator[float]:
+    expovariate = rng.expovariate
     t = 0.0
-    while t < horizon and len(out) < n_max:
+    n = 0
+    while t < horizon and n < n_max:
         on_end = t + expovariate(1.0 / mean_on)
-        while len(out) < n_max:
+        while n < n_max:
             t += expovariate(rate)
             if t >= on_end or t >= horizon:
                 break
-            append(t)
+            n += 1
+            yield t
         # the overshooting inter-arrival gap is discarded: the next
         # burst restarts the Poisson process after the OFF gap
         t = min(on_end, horizon) + expovariate(1.0 / mean_off)
-    return out
 
 
 def _flash_crowd(
@@ -83,12 +89,12 @@ def _flash_crowd(
     ramp_duration: float,
     horizon: float,
     n_max: int,
-) -> List[float]:
+) -> Iterator[float]:
     """Non-homogeneous Poisson via thinning at the peak rate."""
-    out: List[float] = []
-    expovariate, uniform, append = rng.expovariate, rng.random, out.append
+    expovariate, uniform = rng.expovariate, rng.random
     t = 0.0
-    while len(out) < n_max:
+    n = 0
+    while n < n_max:
         t += expovariate(peak)
         if t >= horizon:
             break
@@ -99,8 +105,8 @@ def _flash_crowd(
                 1.0, (t - ramp_start) / ramp_duration
             )
         if uniform() < rate / peak:
-            append(t)
-    return out
+            n += 1
+            yield t
 
 
 def size_sampler(spec: SizeSpec, rng: random.Random) -> Callable[[], int]:

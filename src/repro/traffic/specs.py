@@ -185,6 +185,10 @@ class FlowClassSpec:
     edge meter).  ``record=False`` by default: thousand-flow
     populations measure completion times through the flow lifecycle,
     not per-flow recorders.
+
+    ``name`` may not end in a digit: expanded flow ids are
+    ``f"{name}{i}"``, so with classes ``a`` and ``a1`` flow 11 of ``a``
+    and flow 1 of ``a1`` would both be ``"a11"``.
     """
 
     name: str
@@ -199,6 +203,12 @@ class FlowClassSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("class name must be non-empty")
+        if self.name[-1].isdigit():
+            raise ValueError(
+                f"class {self.name!r}: name must not end in a digit (flow "
+                "ids are <name><index>, so the index could not be told "
+                "from the name)"
+            )
         if self.weight <= 0:
             raise ValueError(f"class {self.name!r}: weight must be positive")
         if self.transport not in TRANSPORTS:

@@ -1,11 +1,17 @@
 """BackgroundLoadSpec validation and population -> background derivation."""
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fluid import BACKGROUND_KINDS, BackgroundLoadSpec, hybridize
+from repro.fluid import (
+    BACKGROUND_KINDS,
+    BackgroundLoadSpec,
+    add_population_background,
+    hybridize,
+)
 from repro.fluid import derive as derive_mod
 from repro.fluid.derive import (
     _class_of,
@@ -14,6 +20,7 @@ from repro.fluid.derive import (
 )
 from repro.harness.experiments import flash_crowd as flash_crowd_mod
 from repro.harness.experiments.flash_crowd import (
+    flash_crowd_foreground_spec,
     flash_crowd_population,
     flash_crowd_spec,
 )
@@ -22,7 +29,9 @@ from repro.harness.experiments.mice_elephants import (
     mice_elephants_population,
     mice_elephants_spec,
 )
+from repro.topo.generators import access_star_endpoints
 from repro.topo.specs import FlowSpec, ScenarioSpec
+from repro.traffic import ArrivalSpec, FlowClassSpec, PopulationSpec, SizeSpec
 from repro.traffic.population import expand_population, offered_load_profile
 
 
@@ -70,8 +79,10 @@ class TestSpecValidation:
     def test_population_requires_profile(self):
         with pytest.raises(ValueError, match="profile"):
             BackgroundLoadSpec(kind="population")
-        with pytest.raises(ValueError, match="non-negative"):
-            BackgroundLoadSpec(kind="population", profile=(100.0, -1.0))
+        # nan used to construct (nan < 0 is false) and poison the ledger
+        for entry in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="non-negative"):
+                BackgroundLoadSpec(kind="population", profile=(100.0, entry))
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -234,12 +245,11 @@ class TestOfferedLoadProfile:
         flows = _finite_flows([(1000, 0.0)])
         with pytest.raises(ValueError, match="per_flow_rate_bps"):
             offered_load_profile(flows, 0.1, per_flow_rate_bps=-5.0)
-        population = flash_crowd_population(n_hosts=8, n_flows=6)
         with pytest.raises(ValueError, match="per_flow_rate_bps"):
-            background_from_population(population, 0, per_flow_rate_bps=-1.0)
-        spec = flash_crowd_spec("gtfrc", 4e6, n_hosts=8, n_flows=6, seed=1)
-        with pytest.raises(ValueError, match="per_flow_rate_bps"):
-            hybridize(spec, population, seed=1, per_flow_rate_bps=-1.0)
+            background_from_population(_CROWD, 0, per_flow_rate_bps=-1.0)
+        for door in DOORS:
+            with pytest.raises(ValueError, match="per_flow_rate_bps"):
+                door(per_flow_rate_bps=-1.0)
 
     @given(
         st.lists(
@@ -293,6 +303,30 @@ class TestOfferedLoadProfile:
         assert sum(profile) == pytest.approx(1000.0)
 
 
+#: The small crowd the error and split tests share.
+_CROWD = flash_crowd_population(n_hosts=8, n_flows=6)
+
+
+def _via_hybridize(classes=None, **kwargs):
+    """Door 2: the full packet-level spec, its crowd then fluidized."""
+    spec = flash_crowd_spec("gtfrc", 4e6, n_hosts=8, n_flows=6, seed=1)
+    return hybridize(
+        spec, _CROWD, seed=1, background_classes=classes, **kwargs
+    )
+
+
+def _via_population(classes=None, **kwargs):
+    """Door 1: the foreground-only spec plus the derived background."""
+    foreground = flash_crowd_foreground_spec("gtfrc", 4e6, n_hosts=8)
+    return add_population_background(
+        foreground, _CROWD, seed=1, classes=classes, **kwargs
+    )
+
+
+#: Both ways to a hybrid spec; what holds for one holds for the other.
+DOORS = (_via_hybridize, _via_population)
+
+
 class TestDerive:
     def test_class_of_longest_match_wins(self):
         assert _class_of("mice12", {"mice", "mice1"}) == "mice1"
@@ -300,65 +334,62 @@ class TestDerive:
         assert _class_of("other3", {"mice"}) is None
 
     def test_background_from_population_unknown_class(self):
-        population = flash_crowd_population(n_hosts=8, n_flows=6)
         with pytest.raises(ValueError, match="no class"):
-            background_from_population(population, 0, classes=("rat",))
+            background_from_population(_CROWD, 0, classes=("rat",))
 
     def test_background_from_population_is_elastic_by_default(self):
-        population = flash_crowd_population(n_hosts=8, n_flows=6)
-        bg = background_from_population(population, 0)
+        bg = background_from_population(_CROWD, 0)
         assert bg.kind == "population"
         assert bg.elastic is True
         assert sum(bg.profile) > 0
 
     def test_hybridize_splits_foreground_and_background(self):
-        spec = flash_crowd_spec("gtfrc", 4e6, n_hosts=8, n_flows=6, seed=1)
-        population = flash_crowd_population(n_hosts=8, n_flows=6)
-        hybrid = hybridize(spec, population, seed=1)
-        # only the declared (non-population) foreground flow survives
-        assert [f.flow_id for f in hybrid.flows] == ["assured"]
-        bottleneck = [
-            ls for ls in hybrid.topology.links if ls.background is not None
-        ]
-        assert len(bottleneck) == 1
-        assert bottleneck[0].queue.kind == "rio"
-        # demand is byte-identical to the packet-level population
-        expected = sum(
-            f.size_bytes for f in spec.flows if f.flow_id != "assured"
-        )
-        assert sum(bottleneck[0].background.profile) == pytest.approx(expected)
+        expected = sum(f.size_bytes for f in expand_population(_CROWD, 1))
+        for door in DOORS:
+            hybrid = door()
+            # only the declared (non-population) foreground flow survives
+            assert [f.flow_id for f in hybrid.flows] == ["assured"]
+            bottleneck = [
+                ls for ls in hybrid.topology.links if ls.background is not None
+            ]
+            assert len(bottleneck) == 1
+            assert bottleneck[0].queue.kind == "rio"
+            # demand is byte-identical to the packet-level population
+            assert sum(bottleneck[0].background.profile) == pytest.approx(
+                expected
+            )
 
     def test_hybridize_derives_foreground_floor_from_committed_rates(self):
-        spec = flash_crowd_spec(
-            "gtfrc", 4e6, n_hosts=8, n_flows=6, bottleneck_bps=20e6, seed=1
-        )
-        population = flash_crowd_population(n_hosts=8, n_flows=6)
-        hybrid = hybridize(spec, population, seed=1)
-        bg = next(
-            ls.background
-            for ls in hybrid.topology.links
-            if ls.background is not None
-        )
-        assert bg.min_foreground_share == pytest.approx(4e6 / 20e6 + 0.05)
+        for door in DOORS:
+            bg = next(
+                ls.background
+                for ls in door().topology.links
+                if ls.background is not None
+            )
+            # assured 4 Mb/s over the 20 Mb/s bottleneck, plus the margin
+            assert bg.min_foreground_share == pytest.approx(4e6 / 20e6 + 0.05)
 
     def test_hybridize_without_population_flows_refuses(self):
-        spec = flash_crowd_spec("gtfrc", 4e6, n_hosts=8, n_flows=6, seed=1)
-        population = flash_crowd_population(n_hosts=8, n_flows=6)
-        foreground_only = replace(spec, flows=(spec.flows[0],))
+        foreground_only = flash_crowd_foreground_spec("gtfrc", 4e6, n_hosts=8)
         with pytest.raises(ValueError, match="nothing to hybridize"):
-            hybridize(foreground_only, population, seed=1)
+            hybridize(foreground_only, _CROWD, seed=1)
+
+    def test_add_population_background_refuses_double_counting(self):
+        # the mirror image: a spec that already carries the crowd as
+        # packet flows would get it a second time as fluid
+        full = flash_crowd_spec("gtfrc", 4e6, n_hosts=8, n_flows=6, seed=1)
+        with pytest.raises(ValueError, match="count it twice"):
+            add_population_background(full, _CROWD, seed=1)
 
     def test_hybridize_unknown_attach_point(self):
-        spec = flash_crowd_spec("gtfrc", 4e6, n_hosts=8, n_flows=6, seed=1)
-        population = flash_crowd_population(n_hosts=8, n_flows=6)
-        with pytest.raises(ValueError, match="not in the topology"):
-            hybridize(spec, population, seed=1, at=[("gw", "nowhere")])
+        for door in DOORS:
+            with pytest.raises(ValueError, match="not in the topology"):
+                door(at=[("gw", "nowhere")])
 
     def test_hybridize_unknown_background_class(self):
-        spec = flash_crowd_spec("gtfrc", 4e6, n_hosts=8, n_flows=6, seed=1)
-        population = flash_crowd_population(n_hosts=8, n_flows=6)
-        with pytest.raises(ValueError, match="no class"):
-            hybridize(spec, population, seed=1, background_classes=("rat",))
+        for door in DOORS:
+            with pytest.raises(ValueError, match="no class"):
+                door(classes=("rat",))
 
 
 def _hybridize_by_reexpansion(
@@ -443,18 +474,173 @@ class TestHybridizeSelectsWithoutReexpanding:
         with pytest.raises(ValueError, match="does not match"):
             hybridize(replace(spec, flows=tuple(flows)), population, seed=1)
 
-    def test_one_scenario_call_expands_the_population_once(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("fidelity", ["hybrid", "packet"])
+    def test_one_scenario_call_builds_only_what_it_runs(
+        self, monkeypatch, fidelity
+    ):
+        expansions = []
 
         def counting(population, seed):
-            calls.append((population.name, seed))
+            expansions.append((population.name, seed))
             return expand_population(population, seed)
 
         # both places a hybrid run could expand from
         monkeypatch.setattr(flash_crowd_mod, "expand_population", counting)
         monkeypatch.setattr(derive_mod, "expand_population", counting)
+        built = []
+        validate = FlowSpec.__post_init__
+
+        def counting_validate(flow):
+            built.append(flow.flow_id)
+            validate(flow)
+
+        monkeypatch.setattr(FlowSpec, "__post_init__", counting_validate)
         hybrid_flash_crowd_scenario(
-            fidelity="hybrid", n_hosts=8, n_flows=12, duration=1.0,
+            fidelity=fidelity, n_hosts=8, n_flows=12, duration=1.0,
             warmup=0.2, seed=3,
         )
-        assert calls == [("crowd", 3)]
+        if fidelity == "hybrid":
+            # the crowd is drawn, binned and gone: no expansion, and the
+            # assured flow is the only FlowSpec the call constructs
+            assert expansions == []
+            assert built == ["assured"]
+        else:
+            assert expansions == [("crowd", 3)]
+            assert built[0] == "assured" and len(built) > 1
+
+
+class TestBothDoorsAreOneFunction:
+    """Door 1 (derive from the population) and door 2 (``hybridize`` the
+    expanded spec) are the same function of ``(population, seed)``."""
+
+    KWARGS = dict(epoch=0.05, per_flow_rate_bps=500e3)
+
+    @staticmethod
+    def _background(spec):
+        attached = [
+            ls.background
+            for ls in spec.topology.links
+            if ls.background is not None
+        ]
+        assert len(attached) == 1
+        return attached[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_flash_crowd(self, seed):
+        population = flash_crowd_population()
+        derived = add_population_background(
+            flash_crowd_foreground_spec("gtfrc", 4e6), population, seed,
+            **self.KWARGS,
+        )
+        converted = hybridize(
+            flash_crowd_spec("gtfrc", 4e6, seed=seed), population, seed,
+            **self.KWARGS,
+        )
+        assert self._background(derived) == self._background(converted)
+        assert derived == converted
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_mice_elephants_with_a_class_filter(self, seed):
+        population = mice_elephants_population("gtfrc", 2e6)
+        full = mice_elephants_spec("gtfrc", 2e6, seed=seed)
+        # the elephants are population flows that stay packet-level, so
+        # door 1's foreground has to come out of the expansion here
+        foreground = replace(
+            full,
+            flows=tuple(
+                f for f in full.flows if f.flow_id.startswith("elephant")
+            ),
+        )
+        derived = add_population_background(
+            foreground, population, seed, classes=("mice",), **self.KWARGS
+        )
+        converted = hybridize(
+            full, population, seed, background_classes=("mice",),
+            **self.KWARGS,
+        )
+        assert self._background(derived) == self._background(converted)
+        assert derived == converted
+
+    @given(
+        st.sampled_from(
+            [
+                ArrivalSpec(kind="poisson", rate_per_s=40.0),
+                ArrivalSpec(
+                    kind="onoff", rate_per_s=80.0, mean_on=0.3, mean_off=0.2
+                ),
+                ArrivalSpec(
+                    kind="flash_crowd", base_rate_per_s=5.0,
+                    peak_rate_per_s=80.0, ramp_start=0.5, ramp_duration=1.0,
+                ),
+            ]
+        ),
+        st.lists(
+            st.sampled_from(
+                [
+                    SizeSpec(kind="fixed", size_bytes=30_000),
+                    SizeSpec(kind="exponential", mean_bytes=20_000.0),
+                    SizeSpec(
+                        kind="pareto", alpha=1.3, min_bytes=4_000,
+                        max_bytes=120_000,
+                    ),
+                ]
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(min_value=0, max_value=6),  # class filter, as a bitmask
+        st.integers(min_value=0, max_value=50),
+        st.sampled_from([None, 200e3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_streamed_profile_equals_binning_the_expansion(
+        self, arrival, sizes, mask, seed, pace
+    ):
+        names = ("mice", "rat", "elephant")[: len(sizes)]
+        population = PopulationSpec(
+            name="pop",
+            arrival=arrival,
+            classes=tuple(
+                FlowClassSpec(name, 1.0 + k, "tcp", size)
+                for k, (name, size) in enumerate(zip(names, sizes))
+            ),
+            endpoints=access_star_endpoints(8),
+            n_flows=60,
+            horizon=3.0,
+        )
+        chosen = tuple(n for k, n in enumerate(names) if mask >> k & 1)
+        classes = chosen or None  # an empty filter means "all classes"
+        selected = set(classes or names)
+        flows = [
+            f
+            for f in expand_population(population, seed)
+            if _class_of(f.flow_id, names) in selected
+        ]
+        assert background_from_population(
+            population, seed, epoch=0.05, per_flow_rate_bps=pace,
+            classes=classes,
+        ).profile == offered_load_profile(
+            flows, 0.05, per_flow_rate_bps=pace
+        )
+
+    def test_streaming_memory_does_not_grow_with_the_population(self):
+        # a count of bytes, not a timing: door 1 holds the profile and
+        # one draw, never the arrivals or the flows (the list-building
+        # derivation this replaced grew ~10x here)
+        peaks = []
+        for n_flows in (5_000, 50_000):
+            # rates scale with n_flows: same horizon, same profile bins
+            scale = n_flows / 5_000
+            population = flash_crowd_population(
+                n_hosts=64, n_flows=n_flows, base_rate_per_s=100.0 * scale,
+                peak_rate_per_s=1500.0 * scale, ramp_start=1.0,
+                ramp_duration=2.0, duration=6.0,
+            )
+            tracemalloc.start()
+            try:
+                background_from_population(population, 1, **self.KWARGS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        assert large <= 1.5 * small

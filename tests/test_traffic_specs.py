@@ -108,6 +108,14 @@ class TestFlowClassSpec:
         with pytest.raises(ValueError, match="unknown transport"):
             FlowClassSpec("m", 1.0, "udp", FIXED)
 
+    def test_name_ending_in_a_digit_rejected(self):
+        # flow ids are f"{name}{i}": next to a class "a", flow 1 of "a1"
+        # and flow 11 of "a" are both "a11" -- a seed-dependent duplicate
+        # flow_id, or a flow that hybridize files under the wrong class
+        FlowClassSpec("a", 1.0, "tcp", FIXED)
+        with pytest.raises(ValueError, match="'a1'.*end in a digit"):
+            FlowClassSpec("a1", 1.0, "tcp", FIXED)
+
 
 class TestPopulationSpec:
     def _spec(self, **kw):
