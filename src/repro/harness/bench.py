@@ -141,10 +141,10 @@ def _bench_link_saturation(n_packets: int = 40_000) -> float:
 
     A 32-packet self-clocked window over one 100 Mbit/s DropTail link:
     every delivery recycles the packet and injects the next, so the
-    serialization pipeline never idles.  Exercises exactly the pooled
-    hot path — packet acquire/release, ``schedule_pooled`` transmission
-    and delivery events, queue admission — with none of the transport
-    arithmetic on top.
+    serialization pipeline never idles.  Exercises exactly the
+    per-packet hot path — pooled packet acquire/release, the
+    handle-free ``schedule_pooled`` transmission and delivery events,
+    queue admission — with none of the transport arithmetic on top.
     """
     from repro.sim.engine import Simulator
     from repro.sim.link import Link

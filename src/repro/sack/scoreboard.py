@@ -11,6 +11,17 @@ Tracks every unacknowledged data packet, folds in feedback reports
 
 The scoreboard is shared by the QTPAF/QTPlight sender and the SACK
 variant of the TCP baseline.
+
+Cost model: the work per call follows the packets the call is about,
+not the window.  ``_outstanding`` iterates in ascending sequence order
+(senders register monotonically, so that is plain insertion order) and
+three counters — SACKed, in the pipe, awaiting retransmission — are
+moved on every state transition.  A cumulative ack therefore walks only
+the acknowledged prefix, loss detection runs only while a SACKed record
+is outstanding (without one no hole can have evidence), and
+``pipe()``/``in_flight`` are reads (RFC 6675 defines ``pipe`` as a
+running count).  ``tests/test_scoreboard_model.py`` keeps the plain
+scan-and-sort formulation as the reference both are checked against.
 """
 
 from __future__ import annotations
@@ -25,9 +36,13 @@ from repro.sim.packet import AppDataHeader
 DUPSACK_THRESHOLD = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class SentRecord:
-    """Book-keeping for one transmitted data packet."""
+    """Book-keeping for one transmitted data packet.
+
+    ``sacked``/``lost``/``retx_pending`` are written by the scoreboard
+    only: its counters mirror them.
+    """
 
     seq: int
     size: int
@@ -64,7 +79,14 @@ class SenderScoreboard:
         if dupack_threshold < 1:
             raise ValueError("dupack threshold must be >= 1")
         self.dupack_threshold = dupack_threshold
+        #: tracked records; iterates in ascending sequence order
         self._outstanding: Dict[int, SentRecord] = {}
+        self._highest_seq = -1  # highest sequence number ever registered
+        # how many tracked records are SACKed / neither SACKed nor lost /
+        # awaiting retransmission
+        self._sacked = 0
+        self._pipe = 0
+        self._retx_pending = 0
         self.cum_ack = -1
         self.high_sacked = -1
         self.total_sent = 0
@@ -80,9 +102,26 @@ class SenderScoreboard:
         now: float,
         app: Optional[AppDataHeader] = None,
     ) -> SentRecord:
-        """Register a (first) transmission."""
+        """Register a (first) transmission.
+
+        Registering a sequence number that is still tracked (go-back-N
+        after an RTO) replaces its record with a fresh one.
+        """
         record = SentRecord(seq=seq, size=size, send_time=now, app=app)
-        self._outstanding[seq] = record
+        outstanding = self._outstanding
+        if seq > self._highest_seq:
+            self._highest_seq = seq
+            outstanding[seq] = record
+        else:
+            replaced = outstanding.get(seq)
+            outstanding[seq] = record  # a tracked key keeps its position
+            if replaced is not None:
+                self._uncount(replaced)
+            else:
+                # below a sequence number registered earlier: restore
+                # the ascending order every reader relies on
+                self._outstanding = dict(sorted(outstanding.items()))
+        self._pipe += 1
         self.total_sent += 1
         return record
 
@@ -101,17 +140,34 @@ class SenderScoreboard:
             return None
         record.retx_count += 1
         record.send_time = now
-        record.lost = False  # back in flight; a later report re-judges it
-        record.retx_pending = False
+        if record.lost:
+            record.lost = False  # back in flight; a later report re-judges it
+            if not record.sacked:
+                self._pipe += 1
+        if record.retx_pending:
+            record.retx_pending = False
+            self._retx_pending -= 1
         if highest_sent is None:
-            highest_sent = max(self._outstanding) if self._outstanding else seq
+            highest_sent = next(reversed(self._outstanding))
         record.retx_guard = highest_sent
         self.total_retx += 1
         return record
 
     def abandon(self, seq: int) -> Optional[SentRecord]:
         """Drop a packet from tracking (partial-reliability give-up)."""
-        return self._outstanding.pop(seq, None)
+        record = self._outstanding.pop(seq, None)
+        if record is not None:
+            self._uncount(record)
+        return record
+
+    def _uncount(self, record: SentRecord) -> None:
+        """Take a record that left ``_outstanding`` out of the counters."""
+        if record.sacked:
+            self._sacked -= 1
+        elif not record.lost:
+            self._pipe -= 1
+        if record.retx_pending:
+            self._retx_pending -= 1
 
     # ------------------------------------------------------------------
     def on_feedback(
@@ -124,45 +180,57 @@ class SenderScoreboard:
 
         ``blocks`` are half-open ``[start, end)`` ranges.  Reports are
         cumulative, so a stale (reordered) report is harmless: an older
-        ``cum_ack`` simply acknowledges nothing new.
+        ``cum_ack`` simply acknowledges nothing new.  A block is walked
+        only where records can exist — between the oldest tracked and
+        the highest registered sequence number — so a fabricated range
+        (``(0, 2**40)``) costs what the window costs.
         """
         newly_acked: List[SentRecord] = []
         if cum_ack > self.cum_ack:
             self.cum_ack = cum_ack
-        for seq in sorted(self._outstanding):
-            if seq > self.cum_ack:
+        cum_ack = self.cum_ack
+        outstanding = self._outstanding
+        covered: List[SentRecord] = []
+        for seq, record in outstanding.items():
+            if seq > cum_ack:
                 break
-            record = self._outstanding.pop(seq)
+            covered.append(record)
+        for record in covered:
+            del outstanding[record.seq]
+            self._uncount(record)
             if not record.sacked:  # SACKed ones were counted when SACKed
                 newly_acked.append(record)
                 self.total_acked += 1
-        for start, end in blocks:
-            if end > self.high_sacked:
-                self.high_sacked = end - 1
-            for seq in range(start, end):
-                record = self._outstanding.get(seq)
-                if record is not None and not record.sacked:
-                    record.sacked = True
-                    newly_acked.append(record)
-                    self.total_acked += 1
-        newly_lost = self._detect_losses()
-        return FeedbackDigest(newly_acked, newly_lost, self.cum_ack)
+        if blocks:
+            limit = self._highest_seq + 1
+            first = next(iter(outstanding), limit)
+            for start, end in blocks:
+                if end > self.high_sacked:
+                    self.high_sacked = end - 1
+                for seq in range(max(start, first), min(end, limit)):
+                    record = outstanding.get(seq)
+                    if record is not None and not record.sacked:
+                        record.sacked = True
+                        self._sacked += 1
+                        if not record.lost:
+                            self._pipe -= 1
+                        newly_acked.append(record)
+                        self.total_acked += 1
+        newly_lost = self._detect_losses() if self._sacked else []
+        return FeedbackDigest(newly_acked, newly_lost, cum_ack)
 
     def _detect_losses(self) -> List[SentRecord]:
         """Dup-SACK rule: a hole with >= threshold SACKed packets above it.
 
         A retransmitted packet is only re-declared lost once SACK
         coverage has advanced past its ``retx_guard`` — i.e. on evidence
-        that arrived *after* the retransmission.
+        that arrived *after* the retransmission.  Runs after the
+        cumulative pop, so every record here is above ``cum_ack``.
         """
         newly_lost: List[SentRecord] = []
-        if self.high_sacked < 0:
-            return newly_lost
-        sacked_seqs = sorted(
-            seq for seq, rec in self._outstanding.items() if rec.sacked
-        )
-        for seq in sorted(self._outstanding):
-            record = self._outstanding[seq]
+        outstanding = self._outstanding
+        sacked_seqs = [seq for seq, rec in outstanding.items() if rec.sacked]
+        for seq, record in outstanding.items():
             if record.sacked or record.lost or record.retx_pending:
                 continue
             # evidence threshold: for first transmissions, SACKs above the
@@ -172,9 +240,11 @@ class SenderScoreboard:
             above = len(sacked_seqs) - bisect.bisect_right(
                 sacked_seqs, evidence_floor
             )
-            if seq > self.cum_ack and above >= self.dupack_threshold:
+            if above >= self.dupack_threshold:
                 record.lost = True
                 record.retx_pending = True
+                self._pipe -= 1
+                self._retx_pending += 1
                 newly_lost.append(record)
                 self.total_lost += 1
         return newly_lost
@@ -186,12 +256,11 @@ class SenderScoreboard:
         :meth:`on_send`, putting them back into the pipe.  Returns the
         number of records marked.
         """
-        marked = 0
         for record in self._outstanding.values():
             if not record.sacked and not record.lost:
+                # in the pipe, so not awaiting retransmission either
                 record.lost = True
-                record.retx_pending = False
-                marked += 1
+        marked, self._pipe = self._pipe, 0
         return marked
 
     def pipe(self) -> int:
@@ -201,19 +270,14 @@ class SenderScoreboard:
         lost; a retransmission puts its packet back into the pipe
         (``lost`` is cleared by :meth:`on_retransmit`).
         """
-        return sum(
-            1
-            for rec in self._outstanding.values()
-            if not rec.sacked and not rec.lost
-        )
+        return self._pipe
 
     # ------------------------------------------------------------------
     def retransmission_candidates(self) -> List[SentRecord]:
         """Packets marked lost and awaiting retransmission, in seq order."""
-        return sorted(
-            (rec for rec in self._outstanding.values() if rec.retx_pending),
-            key=lambda rec: rec.seq,
-        )
+        if not self._retx_pending:
+            return []
+        return [rec for rec in self._outstanding.values() if rec.retx_pending]
 
     def forward_point(self, default: int) -> int:
         """The PR-SCTP forward-ack point advertised to the receiver.
@@ -223,11 +287,9 @@ class SenderScoreboard:
         a hole below this sequence number.  ``default`` is the sender's
         next fresh sequence number (used when nothing is outstanding).
         """
-        awaited = [
-            seq for seq, rec in self._outstanding.items() if not rec.sacked
-        ]
-        if awaited:
-            return min(awaited)
+        for seq, record in self._outstanding.items():
+            if not record.sacked:
+                return seq
         return default
 
     def prune_delivered(self, floor: int) -> int:
@@ -238,13 +300,17 @@ class SenderScoreboard:
         receiver's cumulative ack cannot cross the abandoned holes until
         it learns the forward point.
         """
-        stale = [
-            seq
-            for seq, rec in self._outstanding.items()
-            if rec.sacked and seq < floor
-        ]
-        for seq in stale:
-            del self._outstanding[seq]
+        if not self._sacked:
+            return 0
+        stale: List[SentRecord] = []
+        for seq, record in self._outstanding.items():
+            if seq >= floor:
+                break
+            if record.sacked:
+                stale.append(record)
+        for record in stale:
+            del self._outstanding[record.seq]
+            self._uncount(record)
         return len(stale)
 
     def record_for(self, seq: int) -> Optional[SentRecord]:
@@ -254,7 +320,7 @@ class SenderScoreboard:
     @property
     def in_flight(self) -> int:
         """Packets sent but neither cumulatively nor selectively acked."""
-        return sum(1 for rec in self._outstanding.values() if not rec.sacked)
+        return len(self._outstanding) - self._sacked
 
     @property
     def outstanding(self) -> int:
@@ -263,6 +329,4 @@ class SenderScoreboard:
 
     def oldest_unacked(self) -> Optional[SentRecord]:
         """The outstanding record with the smallest sequence number."""
-        if not self._outstanding:
-            return None
-        return self._outstanding[min(self._outstanding)]
+        return next(iter(self._outstanding.values()), None)

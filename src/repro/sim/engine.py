@@ -1,6 +1,6 @@
 """Discrete-event simulation engine.
 
-The engine is a classic calendar of ``(time, tie-break, event)``
+The engine is a classic calendar of ``(time, tie-break, callback)``
 entries kept in a binary heap.  It is deliberately small and
 deterministic:
 
@@ -16,50 +16,43 @@ Typical use::
     sim.schedule(0.5, lambda: print("hello at", sim.now))
     sim.run(until=10.0)
 
-Fast-path invariants (PR 2 perf overhaul — future PRs must not break
-these; ``benchmarks/test_p1_core_speed.py`` and the golden tests in
-``tests/test_determinism_golden.py`` pin both the speed and the exact
-event traces):
+Fast-path invariants (future PRs must not break these; the golden tests
+in ``tests/test_determinism_golden.py`` pin the exact event traces and
+``tests/test_engine.py`` checks the run loop against a sorted reference
+list):
 
-* **Tuple-backed heap.** ``Simulator._heap`` holds plain
-  ``(time, seq, Event)`` tuples, never bare ``Event`` objects: heap
-  sift comparisons then run entirely on C-level float/int tuple
-  compares instead of calling ``Event.__lt__`` (which dominated the
-  seed profile at ~1.3 M calls per 10 s of simulated T1).  ``seq`` is
-  unique per simulator, so the ``Event`` element is never compared.
+* **Heap entry shape.** ``Simulator._heap`` holds plain
+  ``(time, seq, fn, args, handle)`` tuples.  ``seq`` is unique per
+  simulator, so a sift compares at most the float and the int — at C
+  level — and never reaches ``fn``.  The run loop fires ``fn(*args)``
+  straight from the tuple.
+* **Who may read index 4.** ``handle`` is the :class:`Event` returned
+  by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` (or
+  re-armed by :class:`Timer`), and ``None`` for
+  :meth:`Simulator.schedule_pooled`, whose callers never cancel.  Only
+  the pop sites (``run`` and ``step``) look at it, for two things:
+  a ``cancelled`` handle makes the entry a tombstone to drop, and a
+  live one is marked ``_popped`` before its callback runs.  An entry
+  without a handle costs no object and no bookkeeping at all.
 * **Ordering contract.** The pushed key is exactly ``(time, seq)``
   with ``seq`` a monotonically increasing per-simulator counter —
-  identical to the seed engine's ``Event.__lt__``; event firing order
-  (and therefore every downstream random draw) is bit-identical.
+  identical to the seed engine's ``Event.__lt__``; every scheduling
+  call (``schedule``, ``schedule_at``, ``schedule_pooled``,
+  ``Timer.restart``) consumes exactly one ``seq``, so event firing
+  order (and therefore every downstream random draw) is bit-identical.
 * **O(1) schedule fast path.** :meth:`Simulator.schedule` pushes
   directly (no ``schedule_at`` indirection, no absolute-time
   re-validation — ``delay >= 0`` already implies ``time >= now``).
-* **Hoisted run loop.** :meth:`Simulator.run` binds the heap, heappop
-  and mutable counters to locals and specializes the common
-  ``(until, no max_events)`` case; ``self.now``/``self._live`` are
-  written back on every event (callbacks read them) but never re-read
-  through attribute lookups inside the loop.
-* **Lazy deletion.** Cancelled events stay in the heap as tombstones
-  (``Event.cancelled``) and are discarded at pop time; the ``pending``
-  property is an O(1) counter maintained on schedule/cancel/pop.
-
-Allocation-reuse invariants (PR 4 — same proof obligations as above;
-``REPRO_NO_POOL`` only affects the *packet* pool, the event reuse below
-is always on):
-
-* **Pooled no-handle events.** :meth:`Simulator.schedule_pooled` is the
-  hot-path variant used where the caller never needs the returned
-  handle (link serialization/delivery events): it recycles ``Event``
-  objects from a per-simulator free list and returns ``None``.  A
-  pooled event is recycled only *after* its callback ran (never while
-  in the heap), and because no handle escapes it can never be
-  cancelled — so a recycled object can never alias a live tombstone.
-  Future PRs must keep both halves of that bargain: never hand out a
-  pooled event, and never recycle before the pop-and-fire completes.
-* **Seq parity.** ``schedule_pooled`` and :meth:`Timer.restart` consume
-  exactly one ``seq`` per call, like ``schedule`` — the ``(time, seq)``
-  ordering contract (and therefore every golden digest) is unchanged by
-  reuse.
+* **One run loop.** :meth:`Simulator.run` binds the heap and heappop
+  to locals and serves ``until`` / ``max_events`` / neither with the
+  same loop (an absent bound is an unreachable one); ``self.now`` is
+  written back on every event because callbacks read it.
+* **Lazy deletion and ``pending``.** Cancelled events stay in the heap
+  as tombstones and are discarded at pop time.  ``pending`` is
+  ``len(heap) - tombstones``: :meth:`Event.cancel` counts a tombstone
+  when the event is still in the heap (``not _popped``), popping a
+  cancelled entry uncounts it, and nothing else moves the count — so
+  scheduling and firing do no counter work.
 * **Timer re-arm without allocating.** After a :class:`Timer` fires,
   the popped ``Event`` is kept as a spare and re-initialized on the
   next ``restart`` (fresh ``time``/``seq``, flags cleared) instead of
@@ -69,18 +62,22 @@ is always on):
   this never touches the tombstone.  The invariant future PRs must
   keep: a tombstoned (cancelled-in-heap) event object is never
   re-armed, or it would fire twice when its stale heap entry pops.
+  It is the only object reuse in the engine.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import sys
 from time import perf_counter as _perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _event_new = object.__new__
+_INF = float("inf")
+_NO_LIMIT = sys.maxsize
 
 # Observability run hook (repro.obs.metrics installs/uninstalls this via
 # enable_metrics()/disable_metrics()).  When None — the default — the
@@ -99,11 +96,12 @@ class Event:
 
     Instances are returned by :meth:`Simulator.schedule`; keep the handle
     if the event may have to be cancelled (timers, retransmissions).
-    The heap itself stores ``(time, seq, event)`` tuples (see the module
-    docstring), so events are never compared during heap sifts.
+    The heap entry carries the callback itself and the event only as
+    its cancellation handle (see the module docstring), so events are
+    never compared during heap sifts.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim", "_popped", "_pooled")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim", "_popped")
 
     def __init__(
         self,
@@ -120,19 +118,15 @@ class Event:
         self.cancelled = False
         self._sim = sim
         self._popped = False
-        # True for events created by Simulator.schedule_pooled: no
-        # handle ever escaped, so the run loop may recycle the object
-        # after firing it
-        self._pooled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
         if not self.cancelled:
             self.cancelled = True
-            # keep the owning simulator's live-event count exact; a
-            # cancel after the event already fired must not decrement
+            # still in the heap: its entry is now a tombstone (a cancel
+            # after the event already fired leaves nothing behind)
             if self._sim is not None and not self._popped:
-                self._sim._live -= 1
+                self._sim._tombstones += 1
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -155,13 +149,14 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.seed = seed
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[
+            Tuple[float, int, Callable[..., None], tuple, Optional[Event]]
+        ] = []
         self._seq = 0
-        self._live = 0
+        self._tombstones = 0  # cancelled entries still in the heap
         self._rngs: Dict[str, random.Random] = {}
         self._running = False
         self._events_processed = 0
-        self._event_pool: List[Event] = []
         # populated by Link.__init__ only while the metrics plane is on
         # at construction time; None means "not tracking" (the default)
         self._obs_links: Optional[List[Any]] = (
@@ -189,38 +184,23 @@ class Simulator:
         ev.cancelled = False
         ev._sim = self
         ev._popped = False
-        ev._pooled = False
-        _heappush(self._heap, (time, seq, ev))
-        self._live += 1
+        _heappush(self._heap, (time, seq, fn, args, ev))
         return ev
 
     def schedule_pooled(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Hot-path schedule for callers that never keep the handle.
 
-        Recycles ``Event`` objects from a per-simulator free list (see
-        the module docstring's allocation-reuse invariants) and returns
-        ``None`` — the event cannot be cancelled, which is exactly what
-        makes the recycling safe.  Ordering is identical to
-        :meth:`schedule` (one ``seq`` consumed per call).
+        Pushes the callback with no :class:`Event` at all and returns
+        ``None`` — the entry cannot be cancelled, so there is nothing a
+        handle would be for (link serialization and delivery, two per
+        packet per hop).  Ordering is identical to :meth:`schedule`
+        (one ``seq`` consumed per call).
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r}s in the past")
-        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev._popped = False
-        else:
-            ev = Event(time, seq, fn, args, self)
-            ev._pooled = True
-        _heappush(self._heap, (time, seq, ev))
-        self._live += 1
+        _heappush(self._heap, (self.now + delay, seq, fn, args, None))
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
@@ -231,8 +211,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         ev = Event(time, seq, fn, args, self)
-        _heappush(self._heap, (time, seq, ev))
-        self._live += 1
+        _heappush(self._heap, (time, seq, fn, args, ev))
         return ev
 
     def _rearm(self, ev: Event, delay: float) -> Event:
@@ -252,8 +231,7 @@ class Simulator:
         ev.seq = seq
         ev.cancelled = False
         ev._popped = False
-        _heappush(self._heap, (time, seq, ev))
-        self._live += 1
+        _heappush(self._heap, (time, seq, ev.fn, ev.args, ev))
         return ev
 
     def cancel(self, event: Optional[Event]) -> None:
@@ -303,67 +281,24 @@ class Simulator:
         wall_start = _perf_counter() if hook is not None else 0.0
         heap = self._heap
         pop = _heappop
-        pool = self._event_pool
-        pool_append = pool.append
+        # an absent bound is one the loop can never reach
+        horizon = _INF if until is None else until
+        limit = _NO_LIMIT if max_events is None else max_events
         try:
-            if max_events is None:
-                if until is None:
-                    # drain-everything fast path: pop unconditionally
-                    while heap:
-                        time, _, ev = pop(heap)
-                        if ev.cancelled:
-                            continue
-                        ev._popped = True
-                        self._live -= 1
-                        self.now = time
-                        ev.fn(*ev.args)
-                        processed += 1
-                        if ev._pooled:
-                            # fired, handle never escaped: reusable
-                            ev.args = ()
-                            pool_append(ev)
-                else:
-                    # horizon fast path: peek, purge tombstones, stop at
-                    # the first live event strictly past ``until``
-                    while heap:
-                        head = heap[0]
-                        ev = head[2]
-                        if ev.cancelled:
-                            pop(heap)
-                            continue
-                        time = head[0]
-                        if time > until:
-                            break
-                        pop(heap)
-                        ev._popped = True
-                        self._live -= 1
-                        self.now = time
-                        ev.fn(*ev.args)
-                        processed += 1
-                        if ev._pooled:
-                            ev.args = ()
-                            pool_append(ev)
-            else:
-                while heap:
-                    if processed >= max_events:
-                        break
-                    head = heap[0]
-                    ev = head[2]
-                    if ev.cancelled:
-                        pop(heap)
-                        continue
-                    time = head[0]
-                    if until is not None and time > until:
-                        break
-                    pop(heap)
-                    ev._popped = True
-                    self._live -= 1
-                    self.now = time
-                    ev.fn(*ev.args)
-                    processed += 1
-                    if ev._pooled:
-                        ev.args = ()
-                        pool_append(ev)
+            while heap and processed < limit:
+                time, _, fn, args, handle = heap[0]
+                if handle is not None and handle.cancelled:
+                    pop(heap)  # tombstone
+                    self._tombstones -= 1
+                    continue
+                if time > horizon:
+                    break
+                pop(heap)
+                if handle is not None:
+                    handle._popped = True
+                self.now = time
+                fn(*args)
+                processed += 1
         finally:
             self._running = False
         if until is not None and self.now < until:
@@ -377,17 +312,15 @@ class Simulator:
         """Process a single event.  Returns False when the calendar is empty."""
         heap = self._heap
         while heap:
-            time, _, ev = _heappop(heap)
-            if ev.cancelled:
-                continue
-            ev._popped = True
-            self._live -= 1
+            time, _, fn, args, handle = _heappop(heap)
+            if handle is not None:
+                if handle.cancelled:
+                    self._tombstones -= 1
+                    continue
+                handle._popped = True
             self.now = time
-            ev.fn(*ev.args)
+            fn(*args)
             self._events_processed += 1
-            if ev._pooled:
-                ev.args = ()
-                self._event_pool.append(ev)
             return True
         return False
 
@@ -395,11 +328,12 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still in the calendar.
 
-        O(1): a counter maintained on schedule/cancel/pop, instead of a
-        scan over the heap (this property sits inside assertion-heavy
-        loops in tests and scenarios).
+        O(1): heap length minus the tombstones counted on cancel and
+        uncounted when popped, instead of a scan over the heap (this
+        property sits inside assertion-heavy loops in tests and
+        scenarios).
         """
-        return self._live
+        return len(self._heap) - self._tombstones
 
     @property
     def events_processed(self) -> int:

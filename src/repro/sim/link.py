@@ -130,6 +130,13 @@ class Link:
         packet copies are made — the same object rides the link end to
         end.  A queue drop is a terminal sink: pool-managed packets are
         recycled (after any ``on_drop`` observer ran).
+
+        ``send``, ``_finish_transmission`` and ``_deliver`` are the
+        link's only entry points, and each is looked up through
+        ``self`` whenever it is called or scheduled:
+        :class:`repro.sim.trace.PacketTracer` wraps exactly these three
+        per instance.  ``rate_bps`` is read per packet because a fluid
+        background source rewrites it every epoch.
         """
         now = self.sim.now
         if self.marker is not None:
@@ -141,44 +148,43 @@ class Link:
                 self._pool.release(packet)
             return False
         if not self._busy:
-            self._start_transmission()
+            # idle wire: serialize the head of the queue right away
+            # (head.size * 8 == head.bits, without the property call)
+            head = self.queue.dequeue(now)
+            if head is not None:
+                self._busy = True
+                self.sim.schedule_pooled(
+                    head.size * 8 / self.rate_bps, self._finish_transmission, head
+                )
         return True
-
-    def _start_transmission(self) -> None:
-        sim = self.sim
-        packet = self.queue.dequeue(sim.now)
-        if packet is None:
-            self._busy = False
-            return
-        self._busy = True
-        # packet.size * 8 == packet.bits, without the property call;
-        # the handle is never needed, so the Event object is recycled
-        sim.schedule_pooled(
-            packet.size * 8 / self.rate_bps, self._finish_transmission, packet
-        )
 
     def _finish_transmission(self, packet: Packet) -> None:
         stats = self.stats
         stats.tx_packets += 1
         stats.tx_bytes += packet.size
-        extra = 0.0
-        lost = False
-        if self.channel is not None:
-            outcome = self.channel.transit(packet, self.sim.now)
-            if outcome is None:
-                lost = True
-                stats.channel_losses += 1
+        sim = self.sim
+        channel = self.channel
+        if channel is None:
+            sim.schedule_pooled(self.delay, self._deliver, packet)
+        else:
+            extra = channel.transit(packet, sim.now)
+            if extra is not None:
+                sim.schedule_pooled(self.delay + extra, self._deliver, packet)
             else:
-                extra = outcome
-        if not lost:
-            self.sim.schedule_pooled(self.delay + extra, self._deliver, packet)
-        elif self._pool is not None:
-            # channel loss is terminal; the tracer's loss record (which
-            # runs after this returns) only reads fields, and nothing
-            # can re-acquire the object before then
-            self._pool.release(packet)
+                stats.channel_losses += 1
+                if self._pool is not None:
+                    # channel loss is terminal; the tracer's loss record
+                    # (which runs after this returns) only reads fields,
+                    # and nothing can re-acquire the object before then
+                    self._pool.release(packet)
         # pipeline the next packet regardless of the fate of this one
-        self._start_transmission()
+        head = self.queue.dequeue(sim.now)
+        if head is None:
+            self._busy = False
+        else:
+            sim.schedule_pooled(
+                head.size * 8 / self.rate_bps, self._finish_transmission, head
+            )
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered_packets += 1

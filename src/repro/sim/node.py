@@ -67,7 +67,8 @@ class Node:
     def receive(self, packet: Packet) -> None:
         """Entry point for packets arriving from a link."""
         packet.hops += 1
-        if packet.dst == self.name:
+        dst = packet.dst
+        if dst == self.name:
             self.rx_packets += 1
             agent = self._agents.get(packet.flow_id)
             if agent is None:
@@ -77,9 +78,18 @@ class Node:
             agent.receive(packet)
             return
         self.forwarded_packets += 1
-        self._forward(packet)
+        # routed transit, once per packet per hop: hand over without
+        # the _forward frame (a missing next_hop entry looks up None,
+        # which is no link's key)
+        link = self.links.get(self.next_hop.get(dst))
+        if link is not None:
+            link.send(packet)
+        else:
+            self._forward(packet)
 
     def _forward(self, packet: Packet) -> bool:
+        """Resolve the outgoing link the slow way, with every fallback:
+        directly connected destination, ``on_unroutable``, errors."""
         hop = self.next_hop.get(packet.dst)
         if hop is None:
             if packet.dst in self.links:  # directly connected

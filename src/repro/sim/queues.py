@@ -23,11 +23,17 @@ from repro.sim.packet import Color, Packet
 class QueueStats:
     """Counters shared by all queue disciplines.
 
-    Per-color counters are flat lists indexed by ``Color.value`` (the
-    record methods run once per packet per hop, where the seed's
-    enum-keyed dict paid a hash per packet); the historical
-    ``drops_by_color`` / ``accepts_by_color`` dict views are preserved
-    as read-only properties for reports and tests.
+    Per-color counters are flat lists indexed by the color's integer
+    value (the seed's enum-keyed dict paid a hash per packet); the
+    historical ``drops_by_color`` / ``accepts_by_color`` dict views are
+    preserved as read-only properties for reports and tests.
+
+    Accepting is once per packet per hop, so the in-tree disciplines
+    apply :meth:`record_accept`'s three updates in place at the end of
+    ``enqueue`` instead of calling it; drops are rare and go through
+    :meth:`record_drop`.  Both index with ``color._value_`` — the plain
+    member attribute behind ``Color.value``, whose descriptor is a
+    Python-level call per access.
     """
 
     __slots__ = (
@@ -52,12 +58,12 @@ class QueueStats:
     def record_accept(self, packet: Packet) -> None:
         self.enqueued += 1
         self.enqueued_bytes += packet.size
-        self._accepts_by_color[packet.color.value] += 1
+        self._accepts_by_color[packet.color._value_] += 1
 
     def record_drop(self, packet: Packet) -> None:
         self.dropped += 1
         self.dropped_bytes += packet.size
-        self._drops_by_color[packet.color.value] += 1
+        self._drops_by_color[packet.color._value_] += 1
 
     @property
     def drops_by_color(self) -> Dict[Color, int]:
@@ -119,10 +125,11 @@ class DropTailQueue:
     def enqueue(self, packet: Packet, now: float) -> bool:
         """Accept or tail-drop ``packet``.
 
-        The admission test is inlined (no helper call) — this runs
-        once per packet per access link, so an extra call frame showed
-        up in the T1 profile.  ``fluid_pkts`` is the virtual occupancy
-        a :class:`repro.fluid.source.FluidSource` maintains; it stays
+        The admission test and the accept counters are inlined (no
+        helper call) — this runs once per packet per access link, so
+        an extra call frame shows up in the T1 profile.  ``fluid_pkts``
+        is the virtual occupancy a
+        :class:`repro.fluid.source.FluidSource` maintains; it stays
         ``0`` unless a background spec is compiled, in which case the
         fluid backlog competes for buffer space exactly like queued
         packets (adding 0 keeps the arithmetic bit-identical).
@@ -136,9 +143,13 @@ class DropTailQueue:
         ):
             self.stats.record_drop(packet)
             return False
+        size = packet.size
         self._items.append(packet)
-        self._bytes += packet.size
-        self.stats.record_accept(packet)
+        self._bytes += size
+        stats = self.stats  # record_accept(), in place
+        stats.enqueued += 1
+        stats.enqueued_bytes += size
+        stats._accepts_by_color[packet.color._value_] += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -218,14 +229,16 @@ class RedQueue:
     def enqueue(self, packet: Packet, now: float) -> bool:
         """RED admission: early-drop probabilistically, tail-drop at capacity.
 
-        The average update, drop curve and count-corrected coin flip
-        are the ``_update_avg``/``_drop_probability``/``_early_drop``
-        helpers inlined (identical arithmetic and RNG draw order): this
-        method runs once per bottleneck arrival, where three extra call
-        frames per packet are measurable.  ``fluid_pkts`` (virtual
-        background occupancy, :mod:`repro.fluid`) rides on the physical
-        length so average, curve and tail-drop all see the aggregate;
-        adding 0 keeps the arithmetic bit-identical without background.
+        One frame per arrival: the average update, the drop curve, the
+        count-corrected coin flip and the accept counters
+        (:class:`QueueStats`) are all computed here, in that order,
+        with at most one RNG draw — this runs once per packet per
+        bottleneck hop, where every helper call is measurable, and the
+        arithmetic and draw order are pinned by the goldens.
+        ``fluid_pkts`` (virtual background occupancy,
+        :mod:`repro.fluid`) rides on the physical length so average,
+        curve and tail-drop all see the aggregate; adding 0 keeps the
+        arithmetic bit-identical without background.
         """
         q = len(self._items) + self.fluid_pkts
         weight = self.weight
@@ -263,10 +276,14 @@ class RedQueue:
         if drop:
             self.stats.record_drop(packet)
             return False
+        size = packet.size
         self._items.append(packet)
-        self._bytes += packet.size
+        self._bytes += size
         self._idle_since = None
-        self.stats.record_accept(packet)
+        stats = self.stats  # record_accept(), in place
+        stats.enqueued += 1
+        stats.enqueued_bytes += size
+        stats._accepts_by_color[packet.color._value_] += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -337,11 +354,13 @@ class RioQueue:
     def enqueue(self, packet: Packet, now: float) -> bool:
         """Admit with the precedence-appropriate RED curve.
 
-        Average update, curve and count-corrected coin flip are
-        inlined (identical arithmetic and RNG draw order to the
-        reference helper formulation): this method runs once per
-        bottleneck arrival in every AF experiment, where the helper
-        call frames were a measurable share of the T1 profile.
+        One frame per arrival: average update, curve, count-corrected
+        coin flip and the accept counters (:class:`QueueStats`) are
+        all computed here, in that order, with at most one RNG draw —
+        this runs once per packet per bottleneck hop in every AF
+        experiment, where every helper call is a measurable share of
+        the T1 profile; arithmetic and draw order are pinned by the
+        goldens.
 
         ``fluid_pkts`` (virtual background occupancy,
         :mod:`repro.fluid`) joins the *total* queue length only:
@@ -411,12 +430,16 @@ class RioQueue:
         if drop:
             self.stats.record_drop(packet)
             return False
+        size = packet.size
         self._items.append(packet)
-        self._bytes += packet.size
+        self._bytes += size
         if in_profile:
             self._in_count_q += 1
         self._idle_since = None
-        self.stats.record_accept(packet)
+        stats = self.stats  # record_accept(), in place
+        stats.enqueued += 1
+        stats.enqueued_bytes += size
+        stats._accepts_by_color[packet.color._value_] += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimulationError, Simulator, Timer
 
@@ -114,12 +115,17 @@ class TestCancellation:
         events = []
 
         def naive():
-            # heap entries are (time, seq, event) tuples (engine fast path)
+            # the last element of a heap entry is its cancellation
+            # handle; entries scheduled without one are always live
             return sum(
-                1 for _, _, ev in sim._heap if not ev.cancelled and not ev._popped
+                1
+                for entry in sim._heap
+                if entry[-1] is None or not entry[-1].cancelled
             )
 
         for i in range(200):
+            if i % 5 == 0:
+                sim.schedule_pooled(rng.uniform(0, 10), lambda: None)
             events.append(sim.schedule(rng.uniform(0, 10), lambda: None))
             if rng.random() < 0.4:
                 rng.choice(events).cancel()
@@ -217,3 +223,103 @@ class TestTimer:
         t.restart(1.0)
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
+
+
+# ----------------------------------------------------------------------
+# the run loop against a sorted reference list
+# ----------------------------------------------------------------------
+DELAY = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])  # few values: many ties
+PICK = st.integers(min_value=0, max_value=1_000)
+engine_op = st.one_of(
+    st.tuples(st.sampled_from(["schedule", "schedule_pooled", "schedule_at"]), DELAY),
+    st.tuples(st.just("timer_restart"), st.integers(0, 1), DELAY),
+    st.tuples(st.just("timer_stop"), st.integers(0, 1)),
+    st.tuples(st.just("cancel"), PICK),
+    st.tuples(st.just("run_until"), DELAY),
+    st.tuples(st.just("run_max_events"), st.integers(0, 4)),
+    st.tuples(st.just("step")),
+)
+
+
+class ReferenceCalendar:
+    """What the engine promises, as a list: fire by ``(time, seq)``,
+    skip what was cancelled, one ``seq`` per scheduling call."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.entries = []  # [time, seq, tag, live]
+        self.fired = []
+
+    def add(self, time, tag):
+        entry = [time, self.seq, tag, True]
+        self.seq += 1
+        self.entries.append(entry)
+        return entry
+
+    def pending(self):
+        return sum(1 for entry in self.entries if entry[3])
+
+    def run(self, until=None, max_events=None):
+        processed = 0
+        while max_events is None or processed < max_events:
+            live = sorted(entry for entry in self.entries if entry[3])
+            if not live or (until is not None and live[0][0] > until):
+                break
+            entry = live[0]
+            entry[3] = False
+            self.now = entry[0]
+            self.fired.append(entry[2])
+            processed += 1
+        if until is not None and self.now < until:
+            self.now = until
+        return processed
+
+
+class TestRunLoopAgainstReference:
+    @given(st.lists(engine_op, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_fires_in_time_seq_order_and_pending_matches(self, ops):
+        sim, ref = Simulator(), ReferenceCalendar()
+        fired = []
+        handles = []  # (Event, reference entry)
+        timers = [Timer(sim, lambda k=k: fired.append(("timer", k))) for k in (0, 1)]
+        armed = [None, None]  # reference entry of each timer's pending shot
+
+        for n, op in enumerate(ops):
+            kind = op[0]
+            if kind == "schedule":
+                handles.append((sim.schedule(op[1], fired.append, n),
+                                ref.add(ref.now + op[1], n)))
+            elif kind == "schedule_pooled":
+                assert sim.schedule_pooled(op[1], fired.append, n) is None
+                ref.add(ref.now + op[1], n)
+            elif kind == "schedule_at":
+                handles.append((sim.schedule_at(sim.now + op[1], fired.append, n),
+                                ref.add(ref.now + op[1], n)))
+            elif kind == "timer_restart":
+                timers[op[1]].restart(op[2])
+                if armed[op[1]] is not None:
+                    armed[op[1]][3] = False
+                armed[op[1]] = ref.add(ref.now + op[2], ("timer", op[1]))
+            elif kind == "timer_stop":
+                timers[op[1]].stop()
+                if armed[op[1]] is not None:
+                    armed[op[1]][3] = False
+                    armed[op[1]] = None
+            elif kind == "cancel" and handles:
+                event, entry = handles[op[1] % len(handles)]
+                event.cancel()  # possibly again, possibly after it fired
+                entry[3] = False
+            elif kind == "run_until":
+                until = ref.now + op[1]
+                assert sim.run(until=until) == ref.run(until=until)
+            elif kind == "run_max_events":
+                assert sim.run(max_events=op[1]) == ref.run(max_events=op[1])
+            elif kind == "step":
+                assert sim.step() == (ref.run(max_events=1) == 1)
+            assert fired == ref.fired
+            assert sim.now == ref.now
+            assert sim.pending == ref.pending()
+        assert sim.run() == ref.run()
+        assert fired == ref.fired and sim.pending == 0

@@ -6,10 +6,10 @@ Three layers are covered:
   field re-init (fresh uid, color reset), the ``pooled`` ownership
   flag, the ``REPRO_NO_POOL`` kill-switch, and pool-on/pool-off
   equivalence of a full network run;
-* engine event reuse — ``schedule_pooled`` ordering parity with
-  ``schedule``, recycling only after the callback ran, and the
-  :class:`Timer` spare re-arm (allocation-free periodic timers, no
-  tombstone reuse);
+* engine scheduling without a handle — ``schedule_pooled`` ordering
+  parity with ``schedule`` at one ``seq`` per call and nothing left on
+  the simulator after firing — and the :class:`Timer` spare re-arm
+  (allocation-free periodic timers, no tombstone reuse);
 * end-to-end: agents actually hit the pool in a real scenario.
 """
 
@@ -178,17 +178,22 @@ class TestEventReuse:
         sim.run()
         assert fired == ["pooled-2", "handle-1", "pooled-1", "handle-2"]
 
-    def test_pooled_event_object_recycled_after_firing(self):
+    def test_no_handle_schedule_leaves_nothing_behind(self):
         sim = Simulator(seed=0)
-        sim.schedule_pooled(0.1, lambda: None)
-        assert len(sim._event_pool) == 0  # in the heap, not reusable yet
+        first = sim.schedule(0.3, lambda: None)
+        fired = []
+        assert sim.schedule_pooled(0.1, fired.append, "x") is None
+        assert sim.schedule(0.2, lambda: None).seq == first.seq + 2  # one seq
+        assert sim.pending == 3  # counted until it fires
+        assert sim.run(until=0.1) == 1 and fired == ["x"]
+        assert sim.pending == 2
         sim.run()
-        assert len(sim._event_pool) == 1
-        before = sim._event_pool[0]
-        sim.schedule_pooled(0.1, lambda: None)
-        assert len(sim._event_pool) == 0  # popped for reuse
-        sim.run()
-        assert sim._event_pool[0] is before  # same object cycled through
+        assert sim.pending == 0
+        # nothing kept for reuse, no counter left moved: the run changed
+        # the clock and the two totals, and nothing else on the simulator
+        fresh = vars(Simulator(seed=0))
+        changed = {name for name, value in vars(sim).items() if value != fresh[name]}
+        assert changed == {"now", "_seq", "_events_processed"}
 
     def test_schedule_pooled_counts_and_rejects_past(self):
         sim = Simulator(seed=0)

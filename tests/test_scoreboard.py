@@ -154,3 +154,66 @@ class TestForwardPoint:
         pruned = sb.prune_delivered(sb.forward_point(default=6))
         assert pruned == 4  # sacked 2..5 removed
         assert sb.outstanding == 0
+
+
+class TestFabricatedBlocks:
+    """A lying receiver picks the block bounds; the sender pays only
+    for the packets it actually has outstanding."""
+
+    @staticmethod
+    def after_report(blocks):
+        sb = SenderScoreboard()
+        send_n(sb, 10)
+        digest = sb.on_feedback(0, blocks, 1.0)
+        return sb, digest
+
+    def test_huge_block_costs_the_window_and_sacks_only_what_exists(self):
+        tight_sb, tight = self.after_report(((4, 10),))
+        huge_sb, huge = self.after_report(((4, 1 << 40),))  # must return at all
+        assert [r.seq for r in huge.newly_acked] == [0, 4, 5, 6, 7, 8, 9]
+        assert [r.seq for r in huge.newly_acked] == [r.seq for r in tight.newly_acked]
+        # same dup-SACK verdict as the honest block: 1..3 have 6 SACKed above
+        assert [r.seq for r in huge.newly_lost] == [1, 2, 3]
+        assert [r.seq for r in huge.newly_lost] == [r.seq for r in tight.newly_lost]
+        assert huge_sb.high_sacked == (1 << 40) - 1  # follows the report
+        assert (huge_sb.pipe(), huge_sb.in_flight) == (tight_sb.pipe(), tight_sb.in_flight)
+
+    def test_block_reaching_below_the_window_is_clamped_too(self):
+        sb = SenderScoreboard()
+        send_n(sb, 10, start=1_000_000_000)
+        digest = sb.on_feedback(-1, ((0, 1_000_000_003),), 1.0)
+        assert [r.seq for r in digest.newly_acked] == [
+            1_000_000_000, 1_000_000_001, 1_000_000_002,
+        ]
+
+    def test_inverted_and_empty_blocks_sack_nothing(self):
+        sb, digest = self.after_report(((5, 5), (8, 3), (1 << 40, 0)))
+        assert [r.seq for r in digest.newly_acked] == [0]  # the cumulative ack
+        assert digest.newly_lost == []
+        assert sb.in_flight == sb.outstanding == 9
+
+
+class TestCostFollowsThePacketNotTheWindow:
+    """O(1) as a count: the frames a call executes do not depend on how
+    many packets are outstanding (a scan shows as one generator or
+    comprehension frame per record)."""
+
+    CALLS = {
+        "cumulative ack of one packet": lambda sb: sb.on_feedback(0, (), 1.0),
+        "pipe": lambda sb: sb.pipe(),
+        "in_flight": lambda sb: sb.in_flight,
+        "retransmission_candidates, none pending":
+            lambda sb: sb.retransmission_candidates(),
+        "forward_point": lambda sb: sb.forward_point(10_000),
+        "oldest_unacked": lambda sb: sb.oldest_unacked(),
+        "prune_delivered, none SACKed": lambda sb: sb.prune_delivered(10_000),
+    }
+
+    def test_same_frames_at_8_and_at_512_outstanding(self, count_frames):
+        for name, call in self.CALLS.items():
+            counts = []
+            for window in (8, 512):
+                sb = SenderScoreboard()
+                send_n(sb, window)
+                counts.append(count_frames("/sack/scoreboard.py", lambda: call(sb)))
+            assert counts[0] == counts[1] >= 1, (name, counts)

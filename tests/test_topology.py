@@ -273,3 +273,33 @@ class TestStarRouting:
         sim.run()
         assert len(sink.got) == 1
         assert sink.got[0][1].hops == 2  # via the hub
+
+
+class TestHopCost:
+    """What forwarding one packet one hop costs, as a count of Python
+    frames executed under ``repro/sim/`` — the per-packet path is most
+    of a run, so a hand-off frame that creeps back in is a regression
+    even though no result changes."""
+
+    def test_at_most_nine_frames_per_forwarded_hop(self, count_frames):
+        packets = 50
+
+        def sim_frames(n_hops):
+            sim = Simulator()
+            path = chain(sim, n_hops=n_hops, rate=1e6, delay=0.001)
+            sink = Sink(sim).attach(path.last, "f")
+            for i in range(packets):
+                # spaced out: every packet finds every link idle, the case
+                # with the most frames (the link also learns its queue is empty)
+                sim.schedule(0.1 * i, path.first.send, make_pkt(path.last.name))
+            frames = count_frames("/repro/sim/", sim.run)
+            assert len(sink.got) == packets
+            return frames
+
+        # one more hop = one more forwarding node and link on the path;
+        # nothing else differs, so the difference is the hop's own cost
+        per_hop = (sim_frames(3) - sim_frames(2)) / packets
+        assert per_hop == int(per_hop)  # the same walk for every packet
+        # _deliver > Node.receive > Link.send > enqueue, dequeue,
+        # schedule_pooled; _finish_transmission > schedule_pooled, dequeue
+        assert per_hop <= 9

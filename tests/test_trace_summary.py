@@ -1,16 +1,21 @@
 """Tests for packet tracing and flow summaries."""
 
+from collections import Counter
+
 import pytest
 
 from repro.metrics.cost import CostMeter
 from repro.metrics.recorder import FlowRecorder
 from repro.metrics.summary import summarize_flow
+from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
 from repro.sim.node import Agent
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
-from repro.sim.topology import Network
+from repro.sim.topology import Network, chain
 from repro.sim.trace import PacketTracer, TraceEvent
+from repro.tcp.receiver import TcpReceiver
+from repro.tcp.sender import TcpSender
 
 
 class Sink(Agent):
@@ -99,6 +104,55 @@ class TestPacketTracer:
             net.node("a").send(Packet(src="a", dst="b", flow_id="f", size=10))
         sim.run()
         assert tracer.per_flow_counts(TraceEvent.DELIVER) == {"f": 3}
+
+
+class TestTracerSeesWhatTheLinkCounts:
+    """The tracer wraps ``send`` / ``_finish_transmission`` /
+    ``_deliver`` per link instance, so every way a packet moves through
+    a link has to go through those three names — checked against the
+    link's own counters on a path that exercises all five events."""
+
+    @staticmethod
+    def lossy_three_hop_run(traced):
+        sim = Simulator(seed=3)
+        hop_rngs = iter(sim.rng(f"loss-{i}") for i in range(6))
+        path = chain(
+            sim, n_hops=3, rate=1e6, delay=0.005,
+            queue_factory=lambda: DropTailQueue(capacity_packets=4),
+            channel_factory=lambda: BernoulliLossChannel(0.02, next(hop_rngs)),
+        )
+        tracer = PacketTracer(max_records=1_000_000) if traced else None
+        if traced:
+            for link in path.net.links:
+                tracer.attach(link)
+        recorder = FlowRecorder()
+        sender = TcpSender(sim, dst=path.last.name, sack=True).attach(path.first, "f")
+        TcpReceiver(sim, recorder=recorder, sack=True).attach(path.last, "f")
+        sender.start()
+        sim.run(until=8.0)
+        outcome = (
+            recorder.delivered_packets, recorder.mean_rate_bps(0.0, 8.0),
+            sender.sent_segments, sender.retransmissions, sender.timeouts,
+            sim.events_processed,
+        )
+        return outcome, path.net.links, tracer
+
+    def test_event_counts_equal_link_counters_and_results_unchanged(self):
+        plain, _, _ = self.lossy_three_hop_run(traced=False)
+        outcome, links, tracer = self.lossy_three_hop_run(traced=True)
+        assert outcome == plain  # watching changes nothing
+        seen = Counter((r.link, r.event) for r in tracer.records)
+        assert tracer.dropped_records == 0
+        for link in links:
+            assert seen[link.name, TraceEvent.ENQUEUE] == link.queue.stats.enqueued
+            assert seen[link.name, TraceEvent.DROP] == link.queue.stats.dropped
+            assert seen[link.name, TraceEvent.TRANSMIT] == link.stats.tx_packets
+            assert seen[link.name, TraceEvent.DELIVER] == link.stats.delivered_packets
+            assert seen[link.name, TraceEvent.CHANNEL_LOSS] == link.stats.channel_losses
+        # the path really had a full queue and a lossy channel on it
+        assert sum(link.queue.stats.dropped for link in links) > 0
+        assert sum(link.stats.channel_losses for link in links) > 0
+        assert all(link.stats.tx_packets > 100 for link in links)
 
 
 class _StubSim:
