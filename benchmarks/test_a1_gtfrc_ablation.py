@@ -17,7 +17,6 @@ import pytest
 
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
-from repro.harness.experiments.ablation import gtfrc_ablation_scenario
 from repro.harness.tables import format_table
 
 
@@ -39,7 +38,7 @@ def runs():
     )
 
 
-def test_a1_table(runs, benchmark):
+def test_a1_table(runs):
     rows = []
     for v in VARIANTS:
         r = runs.one(variant=v)
@@ -54,8 +53,6 @@ def test_a1_table(runs, benchmark):
             title="A1: gTFRC mechanism ablation (g = 6 Mb/s, T1 conditions)",
         ),
     )
-    benchmark.pedantic(gtfrc_ablation_scenario, args=("floor",),
-                       kwargs=dict(seed=4), rounds=1, iterations=1)
 
 
 def test_a1_qos_variants_beat_plain_tfrc(runs):

@@ -13,7 +13,6 @@ import pytest
 
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
-from repro.harness.experiments.smoothness import smoothness_scenario
 from repro.harness.tables import format_table
 
 pytestmark = pytest.mark.slow
@@ -34,7 +33,7 @@ def runs():
     )
 
 
-def test_f1_table(runs, benchmark):
+def test_f1_table(runs):
     rows = []
     for proto in ("tfrc", "tcp"):
         for seed in SEEDS:
@@ -51,13 +50,6 @@ def test_f1_table(runs, benchmark):
             title="F1: throughput smoothness vs one TCP competitor "
                   "(4 Mb/s RED bottleneck)",
         ),
-    )
-    benchmark.pedantic(
-        smoothness_scenario,
-        args=("tfrc",),
-        kwargs=dict(duration=20, warmup=5, seed=0),
-        rounds=1,
-        iterations=1,
     )
 
 

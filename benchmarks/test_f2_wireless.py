@@ -17,7 +17,6 @@ import pytest
 
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
-from repro.harness.experiments.lossy_path import lossy_path_scenario
 from repro.harness.tables import format_table
 
 pytestmark = pytest.mark.slow
@@ -42,7 +41,7 @@ def sweep():
     )
 
 
-def test_f2_table(sweep, benchmark):
+def test_f2_table(sweep):
     rows = []
     for loss in LOSS_RATES:
         tcp_b = sweep.value("goodput_bps", loss_rate=loss, protocol="tcp", bursty=True)
@@ -67,13 +66,6 @@ def test_f2_table(sweep, benchmark):
             rows,
             title="F2: goodput over a 3-hop 2 Mb/s chain with per-hop loss",
         ),
-    )
-    benchmark.pedantic(
-        lossy_path_scenario,
-        args=("tfrc", 0.02),
-        kwargs=dict(bursty=True, duration=10.0, warmup=2.0, seed=2),
-        rounds=1,
-        iterations=1,
     )
 
 

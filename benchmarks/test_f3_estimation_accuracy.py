@@ -11,7 +11,6 @@ import pytest
 
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
-from repro.harness.experiments.estimation import estimation_accuracy_scenario
 from repro.harness.tables import format_table
 
 
@@ -32,7 +31,7 @@ def sweep():
     )
 
 
-def test_f3_table(sweep, benchmark):
+def test_f3_table(sweep):
     rows = []
     for loss in LOSS_RATES:
         r = sweep.one(loss_rate=loss)
@@ -54,13 +53,6 @@ def test_f3_table(sweep, benchmark):
             title="F3: QTPlight sender-side loss-event rate vs shadow "
                   "RFC 3448 receiver estimate",
         ),
-    )
-    benchmark.pedantic(
-        estimation_accuracy_scenario,
-        args=(0.02,),
-        kwargs=dict(duration=15.0, warmup=3.0, seed=2),
-        rounds=1,
-        iterations=1,
     )
 
 

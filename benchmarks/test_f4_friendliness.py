@@ -12,7 +12,6 @@ import pytest
 
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
-from repro.harness.experiments.friendliness import friendliness_scenario
 from repro.harness.tables import format_table
 
 pytestmark = pytest.mark.slow
@@ -32,7 +31,7 @@ def sweep():
     )
 
 
-def test_f4_table(sweep, benchmark):
+def test_f4_table(sweep):
     rows = []
     for n in N_TCP:
         r = sweep.one(n_tcp=n)
@@ -46,13 +45,6 @@ def test_f4_table(sweep, benchmark):
             rows,
             title="F4: one TFRC vs N TCP on an 8 Mb/s RED bottleneck",
         ),
-    )
-    benchmark.pedantic(
-        friendliness_scenario,
-        args=(2,),
-        kwargs=dict(duration=15.0, warmup=5.0, seed=2),
-        rounds=1,
-        iterations=1,
     )
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
-from repro.harness.experiments.convergence import convergence_scenario
 from repro.harness.tables import format_table
 
 
@@ -38,7 +37,7 @@ def runs():
     )
 
 
-def test_f5_table(runs, benchmark):
+def test_f5_table(runs):
     rows = []
     for proto in PROTOCOLS:
         r = runs.one(protocol=proto)
@@ -67,8 +66,6 @@ def test_f5_table(runs, benchmark):
         for v in runs.one(protocol="gtfrc").series_bps[::5]
     )
     emit_table("f5_series_gtfrc", "gTFRC Mb/s every 5 s: " + marks)
-    benchmark.pedantic(convergence_scenario, args=("gtfrc",), rounds=1,
-                       iterations=1)
 
 
 def test_f5_gtfrc_holds_through_step(runs):

@@ -18,7 +18,6 @@ import pytest
 
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
-from repro.harness.experiments.af_assurance import af_dumbbell_scenario
 from repro.harness.tables import format_table
 
 pytestmark = pytest.mark.slow
@@ -40,7 +39,7 @@ def sweep():
     )
 
 
-def test_t1_table(sweep, benchmark):
+def test_t1_table(sweep):
     rows = []
     for target in TARGETS:
         for proto in PROTOCOLS:
@@ -65,13 +64,6 @@ def test_t1_table(sweep, benchmark):
             title="T1: AF bandwidth assurance "
                   "(10 Mb/s RIO, 8 TCP cross, assured RTT ~240 ms)",
         ),
-    )
-    benchmark.pedantic(
-        af_dumbbell_scenario,
-        args=("qtpaf",),
-        kwargs=dict(target_bps=4e6, n_cross=4, duration=10.0, warmup=2.0, seed=3),
-        rounds=1,
-        iterations=1,
     )
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
-from repro.harness.experiments.af_assurance import af_dumbbell_scenario
 from repro.harness.tables import format_table
 
 
@@ -34,7 +33,7 @@ def sweep():
     )
 
 
-def test_t2_table(sweep, benchmark):
+def test_t2_table(sweep):
     rows = []
     for delay in ACCESS_DELAYS:
         rtt_ms = (2 * (delay + 0.002) + 2 * 0.02) * 1e3
@@ -51,13 +50,6 @@ def test_t2_table(sweep, benchmark):
             rows,
             title="T2: achieved/negotiated vs assured-flow RTT (g = 5 Mb/s)",
         ),
-    )
-    benchmark.pedantic(
-        af_dumbbell_scenario,
-        args=("tcp",),
-        kwargs=dict(target_bps=5e6, n_cross=4, duration=10.0, warmup=2.0, seed=3),
-        rounds=1,
-        iterations=1,
     )
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
-from repro.harness.experiments.selfish import selfish_receiver_scenario
 from repro.harness.tables import format_table
 
 
@@ -35,7 +34,7 @@ def matrix():
     )
 
 
-def test_t4_table(matrix, benchmark):
+def test_t4_table(matrix):
     rows = []
     for mode in ("tfrc", "qtplight"):
         honest = matrix.one(mode=mode, lying=False)
@@ -59,13 +58,6 @@ def test_t4_table(matrix, benchmark):
             title="T4: selfish-receiver attack, 4 Mb/s bottleneck shared "
                   "with one honest TFRC",
         ),
-    )
-    benchmark.pedantic(
-        selfish_receiver_scenario,
-        args=("qtplight", True),
-        kwargs=dict(duration=15.0, warmup=5.0, seed=2),
-        rounds=1,
-        iterations=1,
     )
 
 

@@ -14,7 +14,6 @@ import pytest
 from conftest import SWEEP_CACHE, emit_table, sweep_workers
 from repro.api import Experiment
 from repro.core.profile import ReliabilityMode
-from repro.harness.experiments.reliability import reliability_scenario
 from repro.harness.tables import format_table
 
 
@@ -40,7 +39,7 @@ def sweep():
     )
 
 
-def test_t5_table(sweep, benchmark):
+def test_t5_table(sweep):
     rows = []
     for mode in MODES:
         r = sweep.one(mode=mode.value)
@@ -67,13 +66,6 @@ def test_t5_table(sweep, benchmark):
             title="T5: media stream (25 fps, 280 ms playout) over a 3% lossy "
                   "link, by reliability mode",
         ),
-    )
-    benchmark.pedantic(
-        reliability_scenario,
-        args=(ReliabilityMode.PARTIAL_TIME,),
-        kwargs=dict(duration=15.0, seed=2),
-        rounds=1,
-        iterations=1,
     )
 
 

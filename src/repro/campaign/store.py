@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.ioutil import atomic_write_json
+from repro.ioutil import atomic_write_json, open_append, read_jsonl
 from repro.campaign.spec import CampaignError, CampaignSpec
 
 __all__ = [
@@ -322,6 +322,8 @@ class CampaignJournal:
         self.report_done = False
         self.next_seq = 1
         self.resumed = False
+        #: set only by write_garbage_line (fault injection in this
+        #: process); a tail torn by an earlier process is open_append's job
         self._torn_tail = False
         if resume and self.path.exists():
             state = self.read(self.path)
@@ -329,15 +331,7 @@ class CampaignJournal:
             self.scenarios = state["scenarios"]
             self.report_done = state["report_done"]
             self.next_seq = state["max_seq"] + 1
-            # a SIGKILL mid-write leaves a torn final line with no
-            # newline; appending straight after it would glue the next
-            # entry onto the garbage and lose a real checkpoint
-            try:
-                raw = self.path.read_text(encoding="utf-8")
-                self._torn_tail = bool(raw) and not raw.endswith("\n")
-            except OSError:
-                pass
-            self._fh = self.path.open("a", encoding="utf-8")
+            self._fh = open_append(self.path)
             self.resumed = True
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -360,20 +354,7 @@ class CampaignJournal:
         scenarios: Dict[str, Dict[str, Any]] = {}
         report_done = False
         max_seq = 0
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError:
-            lines = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn (or chaos-injected) garbage line
-            if not isinstance(entry, dict):
-                continue
+        for entry in read_jsonl(path):
             if "journal" in entry and not header:
                 header = entry
                 continue

@@ -13,14 +13,16 @@ The layers:
   sweeps instead of hand-rolling loops and re-runs are free.
 * the CLI — ``python -m repro.harness run <scenario> --sweep ...
   --format table|csv|json`` (see :mod:`repro.harness.cli`).
-* :mod:`repro.harness.bench` — the pinned perf suite behind
-  ``python -m repro.harness bench`` / ``bench --check`` and the
-  golden trace probes that pin the engine's exact behavior.
+* :mod:`repro.harness.probes` — the golden trace probes that pin the
+  simulator's exact behavior (``benchmarks/goldens/core_goldens.json``).
+  Speed is measured in one place, outside this package: ``perf/`` and
+  ``BENCHMARK.json`` at the repository root.
 
 :mod:`repro.api` (``Experiment`` / ``ResultSet``) is the public front
-door over all of this; prefer it for new code.  The historical flat
-imports (``from repro.harness.scenarios import af_dumbbell_scenario``)
-keep working via the deprecated re-export shim.
+door over all of this; prefer it for new code.  The scenario functions
+are importable flat from this package (``from repro.harness import
+af_dumbbell_scenario``); everything else lives in its
+``repro.harness.experiments`` module.
 """
 
 from repro.harness.experiments.ablation import gtfrc_ablation_scenario

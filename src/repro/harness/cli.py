@@ -1,4 +1,4 @@
-"""Command-line front end for the sweep runner and perf benchmarks.
+"""Command-line front end for the sweep runner and campaigns.
 
 Usage::
 
@@ -7,10 +7,6 @@ Usage::
     python -m repro.harness run af_assurance \
         --sweep protocol=tcp,gtfrc --sweep target_bps=2e6,6e6 \
         --set duration=20 --seeds 0,1 --workers 4 --format csv
-    python -m repro.harness bench
-    python -m repro.harness bench --check
-    python -m repro.harness bench --update-current
-    python -m repro.harness bench --update-current --history bench-history/
 
 ``run`` builds a :class:`repro.api.Experiment` over the scenario's
 sweep grid (the registered default when no ``--sweep`` is given),
@@ -32,16 +28,6 @@ footer goes to stderr with exit status 1 — stdout stays pipeable
 data either way.  ``--resume`` re-runs only the missing/failed cells
 of an interrupted sweep (journaled manifest next to the memo cache);
 ``--strict`` restores abort-on-first-error.
-
-``bench`` runs the pinned perf suite (:mod:`repro.harness.bench`) and
-writes ``BENCH_core.json`` (preserving the frozen pre-optimization
-baseline section).  ``bench --check`` instead compares a fresh run
-against the committed numbers and exits non-zero on a >20% slowdown;
-``bench --update-current`` refreshes only the ``current`` section —
-rates are machine-relative, so a new host refreshes locally before
-checking.  ``bench --history <dir>`` additionally appends a
-timestamped ``BENCH_<utc>.json`` snapshot of every written record, so
-a perf trajectory accumulates (the nightly workflow uploads it).
 """
 
 from __future__ import annotations
@@ -85,8 +71,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "campaign":
         return _cmd_campaign(parser, args)
     parser.print_help()
@@ -173,61 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="json",
         dest="output_format",
         help="export format for the registry snapshot (default: json)",
-    )
-    bench = sub.add_parser(
-        "bench",
-        help="run the pinned perf suite; write/check BENCH_core.json",
-        description="Run the pinned perf suite and write/check BENCH_core.json.",
-        epilog=(
-            "Caveat: the recorded rates are machine-relative. The committed "
-            "numbers were measured on one host; a different machine (e.g. a "
-            "CI runner) should refresh the `current` section locally with "
-            "--update-current before relying on --check, while the frozen "
-            "pre-optimization `baseline` section stays untouched so the "
-            "committed speedup ratios remain apples-to-apples."
-        ),
-    )
-    bench.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="benchmark record file (default: BENCH_core.json in the cwd)",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare a fresh run against the committed record; "
-        "exit 1 on a >20%% slowdown (writes nothing)",
-    )
-    bench.add_argument(
-        "--rebaseline",
-        action="store_true",
-        help="freeze this run as the new baseline section "
-        "(normally the baseline is preserved across runs)",
-    )
-    bench.add_argument(
-        "--update-current",
-        action="store_true",
-        help="refresh only the `current` section of an existing record "
-        "(requires one; never touches the frozen baseline) — use on a "
-        "new machine before --check, since rates are machine-relative",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        metavar="N",
-        help="repetitions per benchmark (default: per-benchmark setting)",
-    )
-    bench.add_argument(
-        "--history",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="also append a timestamped BENCH_<utc>.json snapshot of the "
-        "written record under DIR, accumulating a perf trajectory "
-        "(write runs only; incompatible with the read-only --check)",
     )
     campaign = sub.add_parser(
         "campaign",
@@ -539,99 +468,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness import bench as bench_mod
-
-    path = args.output if args.output is not None else Path(bench_mod.BENCH_FILE)
-    committed = bench_mod.load_record(path)
-    # fail argument/record problems before the (slow) measurement run
-    if args.update_current and args.rebaseline:
-        print("error: --update-current and --rebaseline are mutually "
-              "exclusive", file=sys.stderr)
-        return 2
-    if args.update_current and args.check:
-        print("error: --update-current writes and --check is read-only; "
-              "run them as two invocations (update, then check)",
-              file=sys.stderr)
-        return 2
-    if args.rebaseline and args.check:
-        print("error: --rebaseline writes and --check is read-only; "
-              "run them as two invocations", file=sys.stderr)
-        return 2
-    if args.history is not None and args.check:
-        print("error: --history snapshots written records and --check is "
-              "read-only; run them as two invocations", file=sys.stderr)
-        return 2
-    if args.update_current and committed is None:
-        print(f"error: no committed record at {path} to update; run a plain "
-              "`bench` first", file=sys.stderr)
-        return 2
-    if args.check and committed is None:
-        print(f"error: no committed record at {path} to check against",
-              file=sys.stderr)
-        return 2
-    if args.check:
-        current = (committed.get("current") or {}).get("metrics")
-        if not isinstance(current, dict) or not current:
-            print(f"error: record at {path} has no current-metrics section "
-                  "to check against (malformed or truncated record); "
-                  "re-run `bench` to rewrite it", file=sys.stderr)
-            return 2
-    print(f"running pinned perf suite ({len(bench_mod.BENCHMARKS)} benchmarks)...")
-    fresh = bench_mod.run_suite(repeats=args.repeats)
-    baseline = (
-        ((committed or {}).get("baseline") or {}).get("metrics")
-        if not args.rebaseline
-        else fresh
-    )
-    rows = []
-    for spec in bench_mod.BENCHMARKS:
-        metrics = fresh[spec.name]
-        base_rate = (baseline or {}).get(spec.name, {}).get("rate")
-        rows.append(
-            [
-                spec.name,
-                spec.unit,
-                f"{metrics['rate']:,.0f}",
-                f"{metrics['seconds']:.3f}",
-                f"{metrics['rate'] / base_rate:.2f}x" if base_rate else "-",
-            ]
-        )
-    print(
-        format_table(
-            ["benchmark", "unit", "rate", "best (s)", "vs baseline"],
-            rows,
-            title="perf suite",
-        )
-    )
-    if args.check:
-        failures = bench_mod.check_regression(committed, fresh)
-        if failures:
-            # transient host load can depress one sample; a genuine
-            # regression reproduces on an immediate re-measure
-            print("possible regression; re-measuring once...", flush=True)
-            failures = bench_mod.check_regression(
-                committed, bench_mod.run_suite(repeats=args.repeats)
-            )
-        if failures:
-            print("PERF REGRESSION:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"perf check passed (within {bench_mod.REGRESSION_TOLERANCE:.0%} "
-              f"of {path})")
-        return 0
-    record = bench_mod.write_record(path, fresh, baseline=baseline)
-    if args.update_current:
-        print(f"[current section refreshed in {path}; baseline untouched]")
-    else:
-        print(f"[saved to {path}]")
-    if args.history is not None:
-        snapshot = bench_mod.append_history(args.history, record)
-        print(f"[history snapshot: {snapshot}]")
     return 0
 
 

@@ -104,7 +104,7 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_bytes, open_append, read_jsonl
 
 from repro.harness import faults as faults_mod
 from repro.harness.pool import ResilientPool, TaskOutcome
@@ -629,7 +629,7 @@ class SweepManifest:
         self.resumed = False
         if resume and self.path.exists():
             self._load_existing()
-            self._fh = self.path.open("a", encoding="utf-8")
+            self._fh = open_append(self.path)
             self.resumed = True
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -652,16 +652,8 @@ class SweepManifest:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def _load_existing(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
         header: Dict[str, Any] = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn final line from a hard kill
+        for entry in read_jsonl(self.path):
             if "manifest" in entry and not header:
                 header = entry
                 continue

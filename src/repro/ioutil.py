@@ -1,7 +1,7 @@
-"""Durable, atomic file writes shared across the repo.
+"""Durable file I/O shared across the repo: atomic writes, JSONL journals.
 
-Every derived artifact the repo persists (perf records, ResultSet
-exports, campaign artifacts, memo-cache entries) goes through one of
+Every derived artifact the repo persists (ResultSet exports, campaign
+artifacts, memo-cache entries) goes through one of
 these helpers instead of a bare ``Path.write_text``.  The contract:
 
 * readers never observe a half-written file — the payload lands in a
@@ -15,6 +15,13 @@ these helpers instead of a bare ``Path.write_text``.  The contract:
 ``fsync=False`` keeps the atomicity (rename) but skips the durability
 barrier; it is for high-rate writers like the sweep memo cache where a
 lost-on-power-cut entry is merely a cache miss.
+
+The append-only JSONL journals (sweep manifest, span trace, campaign
+checkpoint ledger) share the two pieces that make them survive a
+SIGKILL mid-line: :func:`read_jsonl`, which skips whatever is not a
+whole JSON object, and :func:`open_append`, which never appends onto a
+torn tail.  When and how often a journal flushes or fsyncs stays with
+its writer.
 """
 
 from __future__ import annotations
@@ -22,9 +29,15 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Union
+from typing import IO, Any, Dict, List, Union
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "atomic_write_json"]
+__all__ = [
+    "atomic_write_bytes",
+    "atomic_write_text",
+    "atomic_write_json",
+    "open_append",
+    "read_jsonl",
+]
 
 PathLike = Union[str, Path]
 
@@ -93,3 +106,50 @@ def atomic_write_json(
     """Atomically publish ``payload`` as canonical JSON (newline-terminated)."""
     text = json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n"
     return atomic_write_text(path, text, fsync=fsync)
+
+
+def read_jsonl(path: PathLike) -> List[Dict[str, Any]]:
+    """The JSON objects of an append-only JSONL journal, in file order.
+
+    Tolerant on purpose: a journal's writer can be killed mid-line, so
+    blank lines, lines that do not decode (a torn tail, injected
+    garbage) and lines that decode to something other than an object
+    are skipped, and a missing file reads as empty.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        return []
+    entries: List[Dict[str, Any]] = []
+    for line in raw.splitlines():
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(entry, dict):
+            entries.append(entry)
+    return entries
+
+
+def open_append(path: PathLike) -> IO[str]:
+    """Open a JSONL journal for appending, never onto a torn tail.
+
+    A writer killed mid-line leaves a final line with no newline;
+    appending straight after it would glue the next entry onto the
+    garbage, and :func:`read_jsonl` would then skip a real entry.  The
+    torn line is terminated first (the newline is buffered and reaches
+    the file with the caller's first entry); a clean tail gets nothing.
+    """
+    path = Path(path)
+    torn = False
+    try:
+        with path.open("rb") as tail:
+            if tail.seek(0, os.SEEK_END):
+                tail.seek(-1, os.SEEK_END)
+                torn = tail.read(1) != b"\n"
+    except FileNotFoundError:
+        pass
+    fh = path.open("a", encoding="utf-8")
+    if torn:
+        fh.write("\n")
+    return fh

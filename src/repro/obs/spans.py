@@ -46,6 +46,8 @@ import os
 from time import perf_counter
 from typing import Any, Dict, IO, Iterable, List, Optional
 
+from repro.ioutil import open_append, read_jsonl
+
 __all__ = [
     "SpanWriter",
     "format_span_summary",
@@ -76,8 +78,10 @@ class SpanWriter:
                 os.makedirs(parent, exist_ok=True)
             # append=True continues an earlier invocation's journal
             # (campaign resume) instead of truncating it
-            self._fh = open(self.path, "a" if append else "w",
-                            encoding="utf-8")
+            if append:
+                self._fh = open_append(self.path)
+            else:
+                self._fh = open(self.path, "w", encoding="utf-8")
         if header is not None:
             self.emit({"event": "sweep", **header})
 
@@ -111,17 +115,7 @@ class SpanWriter:
 
 def read_spans(path: str) -> List[Dict[str, Any]]:
     """Parse a span JSONL file, skipping a torn (partial) final line."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return events
+    return read_jsonl(path)
 
 
 def span_summary(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

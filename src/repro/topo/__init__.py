@@ -27,7 +27,7 @@ Module map
 :mod:`repro.topo.presets`
     Canonical specs: the shared :func:`t1_dumbbell_spec` (the one copy
     of the T1 scaffold that ``af_assurance``, ``gtfrc_ablation``,
-    ``convergence`` and the bench trace probe now share) and the PR 3
+    ``convergence`` and the golden network probe share) and the PR 3
     multi-bottleneck shapes (:func:`parking_lot_spec`,
     :func:`reverse_path_chain_spec`, :func:`hetero_sla_dumbbell_spec`).
 

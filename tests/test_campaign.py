@@ -240,6 +240,22 @@ class TestResume:
         resumed = two_job_campaign().run(directory, resume=True)
         assert all(o.restored for o in resumed.outcomes.values())
 
+    def test_resume_after_a_killed_writer_keeps_the_next_checkpoint(self, tmp_path):
+        # the torn tail was left by an earlier process, so no in-process
+        # flag knows about it
+        path = tmp_path / "journal.jsonl"
+        journal = CampaignJournal(path, "c", "hash", "v1")
+        journal.record_scenario("a", "ok")
+        journal.close()
+        with path.open("a") as fh:
+            fh.write('{"seq": ')
+        journal = CampaignJournal(path, "c", "hash", "v1", resume=True)
+        journal.record_scenario("b", "ok")
+        journal.close()
+        state = CampaignJournal.read(path)
+        assert set(state["scenarios"]) == {"a", "b"}
+        assert state["max_seq"] == 2
+
     def test_resume_reruns_job_with_missing_artifact(self, tmp_path):
         directory = tmp_path / "camp"
         reference = two_job_campaign().run(directory)

@@ -41,6 +41,7 @@ from repro.harness.result import ScenarioResult
 from repro.harness.runner import (
     CorruptCacheWarning,
     RunRecord,
+    SweepManifest,
     SweepRunError,
     run_matrix,
     shutdown_warm_pool,
@@ -597,6 +598,38 @@ class TestManifestResume:
         with pytest.raises(ValueError, match="resume"):
             run_matrix("chaos_probe", GRID, resume=True)
 
+    def test_resume_after_torn_tail_keeps_every_later_cell(self, tmp_path):
+        # a SIGKILL mid-write leaves `{"i": 1, "sta` with no newline; the
+        # resumed sweep's first entry must not be glued onto it
+        path = tmp_path / "s.manifest.jsonl"
+        first = SweepManifest(path, "s", "h", 4)
+        first.record(0, "ok")
+        first.close()
+        with path.open("a") as fh:
+            fh.write('{"i": 1, "sta')
+        resumed = SweepManifest(path, "s", "h", 4, resume=True)
+        resumed.record(2, "ok")
+        resumed.record(3, "ok")
+        resumed.close()
+        again = SweepManifest(path, "s", "h", 4, resume=True)
+        again.close()
+        assert again.statuses == {0: "ok", 2: "ok", 3: "ok"}
+        assert again.counts()["pending"] == 1
+
+    def test_resume_skips_a_non_object_line_and_adds_no_newline(self, tmp_path):
+        path = tmp_path / "s.manifest.jsonl"
+        first = SweepManifest(path, "s", "h", 2)
+        first.record(0, "ok")
+        first.close()
+        with path.open("a") as fh:
+            fh.write("7\n")  # valid JSON, not an entry
+        before = path.read_text()
+        resumed = SweepManifest(path, "s", "h", 2, resume=True)
+        assert resumed.statuses == {0: "ok"}
+        resumed.record(1, "ok")
+        resumed.close()
+        assert path.read_text() == before + '{"i": 1, "status": "ok"}\n'
+
     def test_keyboard_interrupt_mid_sweep_is_resumable(self, tmp_path):
         shutdown_warm_pool()
         cache = tmp_path / "memo"
@@ -885,30 +918,53 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# the <5% fault-plumbing overhead guard (slow tier)
+# fault plumbing is free on the fault-free path (a count, not a timing)
 # ----------------------------------------------------------------------
-@pytest.mark.slow
-class TestFaultOverhead:
-    def test_fault_free_overhead_under_five_percent(self):
-        from repro.harness.bench import (
-            _bench_sweep_fault_overhead,
-            _bench_sweep_warm,
+class TestFaultPlumbingIsFree:
+    """Arming retries, ``strict=False`` and a run timeout on a sweep in
+    which no fault fires enters exactly the frames of the plain sweep in
+    the runner, the fault plane and the registry.
+
+    Counted with ``sys.setprofile`` in the sweep's own process (the
+    pool's parent when there are workers).  Measured: 46 = 46 frames at
+    4 in-process cells and 78 = 78 at 8; 67 / 95 / 151 in the pool's
+    parent at 4 / 8 / 16 cells, armed or not.  ``harness/pool.py`` runs
+    at most one loop turn per reply (17.5 frames per cell) and fewer
+    when two replies share a turn, so it is bounded, not equated.
+    """
+
+    FABRIC = ("harness/runner.py", "harness/faults.py", "harness/registry.py")
+    POOL = "harness/pool.py"
+    ARMED = dict(strict=False, max_retries=2)
+
+    @staticmethod
+    def _sweep(cells, workers, **fault_kwargs):
+        return lambda: run_matrix(
+            "af_assurance", {"protocol": ("qtpaf",)},
+            base=dict(
+                target_bps=4e6, n_cross=1, duration=0.5, warmup=0.1,
+                bottleneck_bps=4e6,
+            ),
+            seeds=range(cells), workers=workers, cache_dir=None,
+            **fault_kwargs,
         )
 
-        shutdown_warm_pool()
-        _bench_sweep_warm()  # pay the pool spawn outside the timings
-        def best_of(fn, n=5):
-            best = float("inf")
-            for _ in range(n):
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-            return best
+    @pytest.mark.parametrize("cells", [4, 8])
+    def test_in_process_sweep_enters_the_same_frames(self, count_frames, cells):
+        parts = self.FABRIC + (self.POOL,)
+        plain = count_frames(parts, self._sweep(cells, 1))
+        armed = count_frames(parts, self._sweep(cells, 1, **self.ARMED))
+        assert armed == plain
+        assert plain[-1] == 0  # in-process: the pool is never entered
 
-        plain = best_of(_bench_sweep_warm)
-        armed = best_of(_bench_sweep_fault_overhead)
-        overhead = armed / plain - 1.0
-        assert overhead < 0.05, (
-            f"fault-tolerance plumbing costs {overhead:.1%} on the "
-            f"fault-free warm sweep (plain {plain:.3f}s, armed {armed:.3f}s)"
+    @pytest.mark.parametrize("cells", [4, 8, 16])
+    def test_pool_parent_enters_the_same_frames(self, count_frames, cells):
+        parts = self.FABRIC + (self.POOL,)
+        self._sweep(2, 2)()  # pay the pool spawn outside the counts
+        plain = count_frames(parts, self._sweep(cells, 2))
+        armed = count_frames(
+            parts, self._sweep(cells, 2, run_timeout=300.0, **self.ARMED)
         )
+        assert armed[:-1] == plain[:-1]
+        assert plain[-1] <= 20 * cells
+        assert armed[-1] <= 20 * cells

@@ -10,9 +10,11 @@ delivered bytes)`` for miniature network runs.  These tests prove that
   loss tracking, prefix-sum recorders), and
 * two runs in one process are identical (no hidden global state).
 
-They run in tier-1: each probe is a few hundred milliseconds.  The full
-probe grid (more seeds/protocols) runs in the slow tier
-(``benchmarks/test_p1_core_speed.py``).
+They run in tier-1, and they cover the whole golden file: every probe
+on every grid of :mod:`repro.harness.probes` is compared with its entry
+(~2.5 s in all), and each section's keys must equal the grid that
+produces them, so a probe without a golden, or a golden without a
+probe, fails by name.
 """
 
 import json
@@ -20,9 +22,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.bench import (
+from repro.harness.probes import (
+    ENGINE_PROBE_SEEDS,
     FLUID_PROBE_SCENARIOS,
     TOPO_PROBE_SCENARIOS,
+    TRACE_PROBE_GRID,
     TRAFFIC_PROBE_SCENARIOS,
     engine_trace_probe,
     fluid_trace_probe,
@@ -44,15 +48,33 @@ def goldens():
     return json.loads(GOLDENS_PATH.read_text())
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+#: golden section -> the keys its probe grid writes (capture_goldens)
+GOLDEN_KEYS = {
+    "engine": [str(seed) for seed in ENGINE_PROBE_SEEDS],
+    "network": [f"{protocol}:{seed}" for protocol, seed in TRACE_PROBE_GRID],
+    "topo": list(TOPO_PROBE_SCENARIOS),
+    "traffic": list(TRAFFIC_PROBE_SCENARIOS),
+    "fluid": list(FLUID_PROBE_SCENARIOS),
+}
+
+
+def test_golden_keys_equal_probe_grids(goldens):
+    # a probe without a golden, or a golden without a probe, is named
+    # in the dict diff
+    assert {section: sorted(entries) for section, entries in goldens.items()} == {
+        section: sorted(keys) for section, keys in GOLDEN_KEYS.items()
+    }
+
+
+@pytest.mark.parametrize("seed", ENGINE_PROBE_SEEDS)
 def test_engine_trace_matches_seed_engine(goldens, seed):
     assert engine_trace_probe(seed=seed) == goldens["engine"][str(seed)]
 
 
-def test_network_trace_matches_seed_engine(goldens):
-    # one representative protocol in tier-1; the full grid is slow-tier
-    assert network_trace_probe(seed=0, protocol="qtpaf") == (
-        goldens["network"]["qtpaf:0"]
+@pytest.mark.parametrize("protocol, seed", TRACE_PROBE_GRID)
+def test_network_trace_matches_seed_engine(goldens, protocol, seed):
+    assert network_trace_probe(seed=seed, protocol=protocol) == (
+        goldens["network"][f"{protocol}:{seed}"]
     )
 
 

@@ -1,11 +1,17 @@
-"""The shared atomic-write helpers (repro.ioutil)."""
+"""The shared atomic-write and JSONL-journal helpers (repro.ioutil)."""
 
 import json
 import os
 
 import pytest
 
-from repro.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text
+from repro.ioutil import (
+    atomic_write_bytes,
+    atomic_write_json,
+    atomic_write_text,
+    open_append,
+    read_jsonl,
+)
 
 
 class TestAtomicWrite:
@@ -68,25 +74,50 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["fast.bin"]
 
 
+class TestJsonlJournal:
+    def test_reader_keeps_only_whole_json_objects(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(
+            b'{"a": 1}\n'
+            b'\n'                 # blank
+            b'   \n'
+            b'{"b": \n'           # torn, later terminated
+            b'7\n'                # valid JSON, not an object
+            b'[1, 2]\n'
+            b'\xff\xfe garbage\n'  # not even UTF-8
+            b'{"c": 3}\n'
+            b'{"d": '             # torn tail, unterminated
+        )
+        assert read_jsonl(path) == [{"a": 1}, {"c": 3}]
+
+    def test_missing_file_reads_as_empty(self, tmp_path):
+        assert read_jsonl(tmp_path / "absent.jsonl") == []
+
+    def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"i": 0}\n{"i": 1, "sta')
+        with open_append(path) as fh:
+            fh.write('{"i": 2}\n')
+        assert path.read_text() == '{"i": 0}\n{"i": 1, "sta\n{"i": 2}\n'
+        assert read_jsonl(path) == [{"i": 0}, {"i": 2}]
+
+    @pytest.mark.parametrize("before", ["", '{"i": 0}\n'])
+    def test_append_after_clean_tail_adds_nothing(self, tmp_path, before):
+        path = tmp_path / "j.jsonl"
+        path.write_text(before)
+        with open_append(path) as fh:
+            fh.write('{"i": 1}\n')
+        assert path.read_text() == before + '{"i": 1}\n'
+
+    def test_append_creates_a_missing_file(self, tmp_path):
+        path = tmp_path / "new.jsonl"
+        with open_append(path) as fh:
+            fh.write('{"i": 0}\n')
+        assert path.read_text() == '{"i": 0}\n'
+
+
 class TestAdoption:
     """The repo's derived-artifact writers all route through ioutil."""
-
-    def test_bench_record_write_is_atomic(self, tmp_path, monkeypatch):
-        from repro.harness import bench
-
-        calls = []
-        real = bench.atomic_write_text
-
-        def spy(path, text, **kw):
-            calls.append(str(path))
-            return real(path, text, **kw)
-
-        monkeypatch.setattr(bench, "atomic_write_text", spy)
-        record_path = tmp_path / "BENCH_core.json"
-        bench.write_record(record_path, {"m": {"rate": 1.0, "seconds": 1.0}})
-        bench.append_history(tmp_path / "hist", {"current": {}})
-        assert any("BENCH_core.json" in c for c in calls)
-        assert any(os.sep + "hist" + os.sep in c for c in calls)
 
     def test_resultset_exports_are_atomic(self, tmp_path, monkeypatch):
         from repro.api import resultset as resultset_mod

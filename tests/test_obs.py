@@ -31,7 +31,6 @@ from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
 from repro.harness.runner import (
     run_matrix,
-    shutdown_warm_pool,
     spans_path,
     warm_pool_stats,
 )
@@ -338,6 +337,26 @@ class TestSpanWriter:
         path.write_text('{"event": "queued", "i": 0}\n{"event": "do')
         events = read_spans(str(path))
         assert len(events) == 1 and events[0]["event"] == "queued"
+
+    def test_append_after_torn_tail_keeps_the_first_event(self, tmp_path):
+        # a campaign resumed after a SIGKILL mid-write appends to a file
+        # whose last line has no newline
+        path = tmp_path / "campaign.spans.jsonl"
+        path.write_text('{"event": "done", "i": 0, "t": 0.1}\n{"event": "do')
+        with SpanWriter(str(path), append=True) as w:
+            w({"event": "done", "i": 1})
+            w({"event": "done", "i": 2})
+        assert [e["i"] for e in read_spans(str(path))] == [0, 1, 2]
+
+    def test_append_after_clean_tail_adds_no_newline(self, tmp_path):
+        path = tmp_path / "campaign.spans.jsonl"
+        before = '{"event": "done", "i": 0, "t": 0.1}\n'
+        path.write_text(before)
+        with SpanWriter(str(path), append=True) as w:
+            w({"event": "done", "i": 1})
+        text = path.read_text()
+        assert text.startswith(before + '{"event": "done", "i": 1, "t": ')
+        assert text.count("\n") == 2
 
     def test_no_path_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -899,6 +918,90 @@ class TestObsStructurallyAbsent:
         assert engine.Simulator()._obs_links is None
 
 
+#: the small af_assurance cell both overhead statements below sweep
+AF_CELL = dict(
+    target_bps=4e6, n_cross=1, duration=0.5, warmup=0.1,
+    bottleneck_bps=4e6,
+)
+
+
+# ----------------------------------------------------------------------
+# armed cost is per cell, never per event (a count, not a timing)
+# ----------------------------------------------------------------------
+class TestObsCostIsPerCell:
+    """Metrics + span tracing + a live observer, all armed at once, cost
+    a fixed number of frames per cell whatever the cell simulates.
+
+    Counted with ``sys.setprofile`` in the sweep's own process.
+    Measured on 4 in-process cells: 583 ``repro/obs/`` frames at
+    ``duration=0.5`` and at ``duration=2.0`` (3.1x the events), 1067 at
+    8 cells (121 per cell), and 40 extra ``repro/sim/`` frames per cell
+    (the run-exit harvest) at either duration; the pool's parent enters
+    16 ``repro/obs/`` frames per added cell.
+    """
+
+    OBS = "/repro/obs/"
+    SIM = "/repro/sim/"
+
+    @staticmethod
+    def _sweep(cells, *, duration=0.5, workers=1, armed=False):
+        experiment = (
+            Experiment("af_assurance")
+            .sweep(protocol=("qtpaf",))
+            .configure(**{**AF_CELL, "duration": duration})
+            .seeds(range(cells))
+            .workers(workers)
+            .cache(None)
+        )
+        if not armed:
+            return experiment.run
+
+        def run():
+            reset_metrics()
+            experiment.trace(True).run(observer=[].append)
+
+        return run
+
+    def test_armed_frames_do_not_grow_with_events(self, count_frames):
+        parts = (self.OBS, self.SIM)
+        plain = {
+            d: count_frames(parts, self._sweep(4, duration=d))
+            for d in (0.5, 2.0)
+        }
+        enable_metrics()
+        armed = {
+            d: count_frames(parts, self._sweep(4, duration=d, armed=True))
+            for d in (0.5, 2.0)
+        }
+        assert plain[2.0][1] > 3 * plain[0.5][1]  # the long cells do 3x the work
+        assert armed[2.0][0] == armed[0.5][0]
+        assert armed[2.0][1] - plain[2.0][1] == armed[0.5][1] - plain[0.5][1]
+
+    def test_armed_frames_are_linear_in_cells(self, count_frames):
+        enable_metrics()
+        two, four, eight = (
+            count_frames(self.OBS, self._sweep(cells, armed=True))
+            for cells in (2, 4, 8)
+        )
+        assert eight - four == 2 * (four - two) > 0
+
+    def test_pool_parent_pays_a_bounded_count_per_cell(self, count_frames):
+        self._sweep(2, workers=2)()  # pay the pool spawn outside the counts
+        enable_metrics()
+        four, eight = (
+            count_frames(self.OBS, self._sweep(cells, workers=2, armed=True))
+            for cells in (4, 8)
+        )
+        assert 0 < eight - four <= 20 * 4
+
+    def test_disabled_facade_cost_does_not_grow_with_cells(self, count_frames):
+        four, eight = (
+            count_frames("/repro/api/", self._sweep(cells, workers=2))
+            for cells in (4, 8)
+        )
+        assert four == eight
+
+
 # ----------------------------------------------------------------------
 # the pinned overhead guards (slow tier)
 # ----------------------------------------------------------------------
@@ -914,10 +1017,7 @@ class TestObsOverhead:
     while one noisy sample cannot fail the guard.
     """
 
-    BASE = dict(
-        target_bps=4e6, n_cross=1, duration=0.5, warmup=0.1,
-        bottleneck_bps=4e6,
-    )
+    BASE = AF_CELL
 
     @classmethod
     def _serial_plain(cls):
@@ -987,16 +1087,4 @@ class TestObsOverhead:
         assert ratio < 1.10, (
             f"enabled observability costs {ratio - 1.0:.1%} on every "
             f"paired sample of the serial sweep"
-        )
-
-    def test_pool_obs_bench_overhead_under_ten_percent(self):
-        """The pinned pool-path bench vs the warm sweep (nightly twin)."""
-        from repro.harness.bench import _bench_obs_overhead, _bench_sweep_warm
-
-        shutdown_warm_pool()
-        _bench_sweep_warm()  # pay the pool spawn outside the timings
-        ratio = self._min_ratio(_bench_obs_overhead, _bench_sweep_warm)
-        assert ratio < 1.10, (
-            f"armed obs bench costs {ratio - 1.0:.1%} on every paired "
-            f"sample of the warm pool sweep"
         )

@@ -148,7 +148,7 @@ class TestPacketPool:
 
 class TestPoolEquivalence:
     def test_network_results_identical_with_pool_off(self, monkeypatch):
-        from repro.harness.bench import network_trace_probe
+        from repro.harness.probes import network_trace_probe
 
         pooled = network_trace_probe(seed=4, protocol="qtpaf", duration=3.0)
         monkeypatch.setenv(NO_POOL_ENV, "1")
@@ -245,6 +245,6 @@ class TestEventReuse:
     def test_engine_probe_unchanged_by_reuse(self):
         # the golden digests pin absolute values; this guards the
         # schedule()/schedule_pooled() seq parity on top of them
-        from repro.harness.bench import engine_trace_probe
+        from repro.harness.probes import engine_trace_probe
 
         assert engine_trace_probe(seed=9) == engine_trace_probe(seed=9)

@@ -468,91 +468,13 @@ class TestCli:
         assert code == 2
         assert "missing required parameter" in capsys.readouterr().err
 
-    # bench flag plumbing: every error path below fails *before* the
-    # measurement suite runs, so these stay tier-1 fast
-    def test_bench_update_current_requires_existing_record(self, capsys, tmp_path):
-        code = cli_main(
-            ["bench", "--update-current", "--output", str(tmp_path / "none.json")]
-        )
-        assert code == 2
-        assert "no committed record" in capsys.readouterr().err
-
-    def test_bench_update_current_excludes_rebaseline(self, capsys, tmp_path):
-        code = cli_main(
-            [
-                "bench", "--update-current", "--rebaseline",
-                "--output", str(tmp_path / "none.json"),
-            ]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_bench_rebaseline_excludes_check(self, capsys, tmp_path):
-        code = cli_main(
-            [
-                "bench", "--rebaseline", "--check",
-                "--output", str(tmp_path / "none.json"),
-            ]
-        )
-        assert code == 2
-        assert "read-only" in capsys.readouterr().err
-
-    def test_bench_update_current_excludes_check(self, capsys, tmp_path):
-        code = cli_main(
-            [
-                "bench", "--update-current", "--check",
-                "--output", str(tmp_path / "none.json"),
-            ]
-        )
-        assert code == 2
-        assert "two invocations" in capsys.readouterr().err
-
-    def test_bench_check_rejects_malformed_record(self, capsys, tmp_path):
-        # a hand-edited/truncated record must fail before the (slow)
-        # measurement run, with a message naming the remedy
-        path = tmp_path / "bench.json"
-        path.write_text('{"schema": 1, "suite": [], "current": {}}')
-        code = cli_main(["bench", "--check", "--output", str(path)])
-        assert code == 2
-        assert "no current-metrics section" in capsys.readouterr().err
-
-    def test_check_regression_flags_malformed_entries(self):
-        from repro.harness import bench as bench_mod
-
-        committed = {
-            "current": {"metrics": {"engine_events": "oops"}}
-        }
-        fresh = {"engine_events": {"rate": 1.0, "seconds": 1.0}}
-        failures = bench_mod.check_regression(committed, fresh)
-        assert len(failures) == 1
-        assert "malformed" in failures[0]
-
-    def test_bench_update_current_tolerates_null_baseline(self, tmp_path):
-        # a record written before any baseline exists stores
-        # "baseline": null; a later write must not crash on it
-        from repro.harness import bench as bench_mod
-
-        path = tmp_path / "bench.json"
-        metrics = {"engine_events": {"rate": 100.0, "seconds": 1.0}}
-        first = bench_mod.write_record(path, metrics)
-        assert first["baseline"] is None
-        second = bench_mod.write_record(
-            path, {"engine_events": {"rate": 120.0, "seconds": 0.8}}
-        )
-        assert second["baseline"] is None
-        assert second["current"]["metrics"]["engine_events"]["rate"] == 120.0
-
-    def test_bench_check_requires_existing_record(self, capsys, tmp_path):
-        code = cli_main(
-            ["bench", "--check", "--output", str(tmp_path / "none.json")]
-        )
-        assert code == 2
-        assert "no committed record" in capsys.readouterr().err
-
-    def test_bench_help_documents_machine_relative_caveat(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["bench", "--help"])
-        assert "machine-relative" in capsys.readouterr().out
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # speed is measured by perf/run.py alone; the old entry point
+        # must fail loudly, not fall through to the help text
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestRunRecord:
@@ -816,29 +738,6 @@ class TestSqliteConcurrency:
         with sqlite3.connect(path) as conn:
             mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
         assert mode == "wal"
-
-
-class TestBenchHistory:
-    def test_history_rejected_with_check(self, capsys, tmp_path):
-        code = cli_main(
-            ["bench", "--check", "--history", str(tmp_path / "hist"),
-             "--output", str(tmp_path / "none.json")]
-        )
-        assert code == 2
-        assert "read-only" in capsys.readouterr().err
-
-    def test_append_history_writes_timestamped_snapshots(self, tmp_path):
-        from repro.harness import bench as bench_mod
-
-        record = {"schema": 1, "current": {"metrics": {}}}
-        first = bench_mod.append_history(tmp_path / "hist", record)
-        second = bench_mod.append_history(tmp_path / "hist", record)
-        assert first.exists() and second.exists()
-        assert first != second  # same-second runs get a suffix, not a clobber
-        assert first.name.startswith("BENCH_") and first.suffix == ".json"
-        import json
-
-        assert json.loads(first.read_text()) == record
 
 
 class TestWarmPoolRegistryKey:
