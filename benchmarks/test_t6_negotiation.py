@@ -17,7 +17,7 @@ from repro.core.instances import TFRC_MEDIA, build_transport_pair
 from repro.harness.experiments.negotiation_matrix import NEGOTIATION_PAIRS
 from repro.harness.tables import format_table
 from repro.sim.engine import Simulator
-from repro.sim.topology import dumbbell
+from repro.topo import ScenarioSpec, build, dumbbell_spec
 
 
 pytestmark = pytest.mark.slow
@@ -50,17 +50,17 @@ def test_t6_matrix(benchmark):
 def test_t6_composition_overhead(benchmark):
     """Time to build a composed transport pair (the versatility tax)."""
     sim = Simulator(seed=0)
-    d = dumbbell(sim, n_pairs=1)
+    d = build(sim, ScenarioSpec("t6", dumbbell_spec(1)))
     counter = [0]
 
-    def build():
+    def compose():
         counter[0] += 1
         flow = f"f{counter[0]}"
         return build_transport_pair(
             sim, d.net.node("s0"), d.net.node("d0"), flow, TFRC_MEDIA
         )
 
-    benchmark(build)
+    benchmark(compose)
 
 
 def test_t6_handshake_one_round_trip(benchmark):
@@ -68,8 +68,10 @@ def test_t6_handshake_one_round_trip(benchmark):
 
     def establish():
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=10e6,
-                     bottleneck_delay=0.02, access_delay=0.002)
+        shape = dumbbell_spec(
+            1, bottleneck_bps=10e6, bottleneck_delay=0.02, access_delay=0.002
+        )
+        d = build(sim, ScenarioSpec("t6", shape))
         done = {}
         Responder(
             sim, CapabilitySet(),

@@ -14,32 +14,30 @@ Run:  python examples/mobile_receiver.py
 from repro.core.instances import QTPLIGHT, TFRC_MEDIA, build_transport_pair
 from repro.metrics.cost import CostMeter
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import GilbertElliottChannel
 from repro.sim.engine import Simulator
-from repro.sim.topology import star
+from repro.topo import ChannelSpec, LinkSpec, ScenarioSpec, TopologySpec, build
 
 DURATION = 40.0
 
 
 def main() -> None:
     sim = Simulator(seed=11)
-    net = star(
-        sim,
-        n_leaves=4,
-        rate=2e6,
-        delay=0.03,
-        channel_factory=lambda: GilbertElliottChannel(
-            p_g2b=0.01, p_b2g=0.3, p_bad=0.4, rng=sim.rng("radio")
-        ),
+    radio = ChannelSpec(
+        kind="gilbert_elliott", p_g2b=0.01, p_b2g=0.3, p_bad=0.4,
+        rng_stream="radio",
     )
+    spokes = tuple(
+        LinkSpec("hub", f"m{i}", 2e6, 0.03, channel=radio) for i in range(4)
+    )
+    net = build(sim, ScenarioSpec("wireless_star", TopologySpec(spokes))).net
 
     clients = []
-    for i, leaf in enumerate(net.leaves):
+    for i in range(4):
         profile = TFRC_MEDIA if i < 2 else QTPLIGHT
         meter = CostMeter(f"m{i}")
         recorder = FlowRecorder(f"m{i}")
         snd, rcv = build_transport_pair(
-            sim, net.hub, leaf, f"stream-{i}", profile,
+            sim, net.node("hub"), net.node(f"m{i}"), f"stream-{i}", profile,
             recorder=recorder, rx_meter=meter, start=True,
         )
         clients.append((f"m{i}", profile.name, meter, recorder, rcv))

@@ -11,16 +11,19 @@ QTPAF nails it.
 Run:  python examples/qos_streaming.py
 """
 
-from repro.core.instances import QTPAF, build_transport_pair
 from repro.metrics.recorder import FlowRecorder
-from repro.qos.marking import ProfileMarker
 from repro.qos.sla import AdmissionController, ServiceLevelAgreement
 from repro.sim.engine import Simulator
 from repro.sim.packet import Color
-from repro.sim.queues import RioQueue
-from repro.sim.topology import dumbbell
-from repro.tcp.receiver import TcpReceiver
-from repro.tcp.sender import TcpSender
+from repro.topo import (
+    FlowSpec,
+    MarkerSpec,
+    QueueSpec,
+    ScenarioSpec,
+    SlaSpec,
+    build,
+    dumbbell_spec,
+)
 
 TARGET_BPS = 5e6
 BOTTLENECK_BPS = 10e6
@@ -38,46 +41,35 @@ def run(protocol: str) -> FlowRecorder:
     sla = admission.admit(
         ServiceLevelAgreement("assured", TARGET_BPS, burst_bytes=30_000)
     )
-    markers = [ProfileMarker(sla.build_meter(), flow_id="assured")]
-    markers += [None] * N_CROSS
-
-    net = dumbbell(
-        sim,
-        n_pairs=1 + N_CROSS,
-        bottleneck_rate=BOTTLENECK_BPS,
-        bottleneck_delay=0.02,
-        bottleneck_queue_factory=lambda: RioQueue(
-            rng=sim.rng("rio"), mean_pkt_time=0.0008
-        ),
-        access_delays=[0.1] + [0.002] * N_CROSS,  # long-RTT assured path
-        access_markers=markers,
+    edge_meter = MarkerSpec(
+        sla=SlaSpec("assured", sla.committed_rate_bps, burst_bytes=sla.burst_bytes)
     )
 
-    recorder = FlowRecorder(protocol)
-    if protocol == "qtpaf":
-        build_transport_pair(
-            sim, net.net.node("s0"), net.net.node("d0"), "assured",
-            QTPAF(sla.committed_rate_bps), recorder=recorder, start=True,
+    shape = dumbbell_spec(
+        1 + N_CROSS,
+        bottleneck_bps=BOTTLENECK_BPS,
+        bottleneck_delay=0.02,
+        bottleneck_queue=QueueSpec(kind="rio"),
+        access_delays=[0.1] + [0.002] * N_CROSS,  # long-RTT assured path
+        access_markers=[edge_meter] + [None] * N_CROSS,
+    )
+    flows = [
+        FlowSpec(
+            "assured", "s0", "d0",
+            transport=protocol, target_bps=sla.committed_rate_bps,
         )
-    else:
-        TcpSender(sim, dst="d0", sack=True).attach(
-            net.net.node("s0"), "assured"
-        ).start()
-        TcpReceiver(sim, recorder=recorder, sack=True).attach(
-            net.net.node("d0"), "assured"
-        )
-
-    for i in range(1, 1 + N_CROSS):
-        TcpSender(sim, dst=f"d{i}", sack=True).attach(
-            net.net.node(f"s{i}"), f"x{i}"
-        ).start()
-        TcpReceiver(sim, sack=True).attach(net.net.node(f"d{i}"), f"x{i}")
+    ]
+    flows += [
+        FlowSpec(f"x{i}", f"s{i}", f"d{i}", transport="tcp", record=False)
+        for i in range(1, 1 + N_CROSS)
+    ]
+    built = build(sim, ScenarioSpec("qos_streaming", shape, tuple(flows)))
 
     sim.run(until=DURATION)
-    stats = net.bottleneck.queue.stats
+    stats = built.queue("left", "right").stats
     green_drops = stats.drops_by_color[Color.GREEN]
     print(f"  [{protocol}] in-profile drops at the bottleneck: {green_drops}")
-    return recorder
+    return built.recorder("assured")
 
 
 def main() -> None:

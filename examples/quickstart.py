@@ -9,24 +9,24 @@ seconds.
 Run:  python examples/quickstart.py
 """
 
-from repro import Simulator, dumbbell
+from repro import Simulator
 from repro.core.connection import Initiator, Responder
 from repro.core.negotiation import CapabilitySet
 from repro.metrics.recorder import FlowRecorder
-from repro.sim.queues import DropTailQueue
+from repro.topo import QueueSpec, ScenarioSpec, build, dumbbell_spec
 
 
 def main() -> None:
     sim = Simulator(seed=42)
 
     # -- network: 2 Mbit/s bottleneck, 20 ms one-way delay ---------------
-    net = dumbbell(
-        sim,
-        n_pairs=1,
-        bottleneck_rate=2e6,
+    shape = dumbbell_spec(
+        1,
+        bottleneck_bps=2e6,
         bottleneck_delay=0.02,
-        bottleneck_queue_factory=lambda: DropTailQueue(capacity_packets=25),
+        bottleneck_queue=QueueSpec(capacity_packets=25),
     )
+    net = build(sim, ScenarioSpec("quickstart", shape)).net
 
     # -- endpoints advertise capabilities; the wire handshake picks the
     #    instance (the mobile cannot run the RFC 3448 loss machinery) ----
@@ -42,11 +42,11 @@ def main() -> None:
         mobile_caps,
         on_established=on_receiver_ready,
         receiver_kwargs={"recorder": recorder},
-    ).attach(net.net.node("d0"), "flow-1")
+    ).attach(net.node("d0"), "flow-1")
 
     initiator = Initiator(
         sim, dst="d0", capabilities=server_caps
-    ).attach(net.net.node("s0"), "flow-1")
+    ).attach(net.node("s0"), "flow-1")
     initiator.start()
 
     # -- run --------------------------------------------------------------

@@ -14,9 +14,8 @@ from repro.apps.sources import MediaSource
 from repro.core.instances import build_transport_pair
 from repro.core.profile import ReliabilityMode, TransportProfile
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.topology import chain
+from repro.topo import ChannelSpec, ScenarioSpec, build, chain_spec
 
 DURATION = 40.0
 PLAYOUT = 0.35
@@ -24,10 +23,9 @@ PLAYOUT = 0.35
 
 def run(mode: ReliabilityMode):
     sim = Simulator(seed=5)
-    topo = chain(
-        sim, n_hops=1, rate=3e6, delay=0.03,
-        channel_factory=lambda: BernoulliLossChannel(0.03, rng=sim.rng("loss")),
-    )
+    lossy = ChannelSpec(kind="bernoulli", loss_rate=0.03, rng_stream="loss")
+    shape = chain_spec(1, rate_bps=3e6, delay=0.03, channel=lossy)
+    net = build(sim, ScenarioSpec("lossy_link", shape)).net
     profile = TransportProfile(
         name=f"media-{mode.value}",
         reliability=mode,
@@ -37,7 +35,7 @@ def run(mode: ReliabilityMode):
     playout = PlayoutBuffer()
     recorder = FlowRecorder()
     sender, receiver = build_transport_pair(
-        sim, topo.first, topo.last, "media", profile,
+        sim, net.node("h0"), net.node("h1"), "media", profile,
         recorder=recorder,
         on_deliver=lambda pkt: playout.deliver(pkt, sim.now),
         bulk=False,

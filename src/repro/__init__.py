@@ -22,7 +22,8 @@ substrate it depends on:
 :mod:`repro.api` (``Experiment`` / ``ResultSet``) is the unified front
 door for defining, running and analyzing experiment sweeps; the
 simulator-level surface re-exported here is the stable substrate the
-examples and benchmarks build on.
+examples and benchmarks build on; networks are compiled from
+:mod:`repro.topo` specs (:func:`repro.topo.build`).
 """
 
 from repro.core.instances import (
@@ -39,7 +40,6 @@ from repro.core.profile import (
     TransportProfile,
 )
 from repro.sim.engine import Simulator
-from repro.sim.topology import dumbbell, chain, star
 
 __all__ = [
     "Simulator",
@@ -52,9 +52,6 @@ __all__ = [
     "TFRC_MEDIA",
     "TCP_LIKE",
     "build_transport_pair",
-    "dumbbell",
-    "chain",
-    "star",
 ]
 
 __version__ = "1.0.0"

@@ -11,10 +11,10 @@ from repro.core.sender import QtpSender
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.topology import chain
+from repro.sim.packet import TfrcDataHeader
 from repro.tfrc.loss_history import LossEventEstimator
+from repro.topo import ChannelSpec, ScenarioSpec, build, chain_spec
 
 
 class _ShadowReceiver(QtpReceiver):
@@ -31,8 +31,6 @@ class _ShadowReceiver(QtpReceiver):
 
     def receive(self, packet) -> None:  # noqa: D102 - see base class
         header = packet.header
-        from repro.sim.packet import TfrcDataHeader  # local to avoid cycle noise
-
         if isinstance(header, TfrcDataHeader):
             self.shadow.on_packet(
                 header.seq, self.sim.now, max(header.rtt_estimate, 1e-6)
@@ -70,25 +68,19 @@ def estimation_accuracy_scenario(
     seconds and reports their agreement over the post-warmup window.
     """
     sim = Simulator(seed=seed)
-    topo = chain(
-        sim,
-        n_hops=1,
-        rate=rate_bps,
-        delay=0.02,
-        channel_factory=lambda: (
-            BernoulliLossChannel(loss_rate, rng=sim.rng("loss"))
-            if loss_rate > 0
-            else None
-        ),
+    lossy = ChannelSpec(kind="bernoulli", loss_rate=loss_rate, rng_stream="loss")
+    shape = chain_spec(
+        1, rate_bps=rate_bps, delay=0.02, channel=lossy if loss_rate > 0 else None
     )
+    net = build(sim, ScenarioSpec("estimation_accuracy", shape)).net
     rec = FlowRecorder()
     # audit skips would register as losses at the shadow estimator but
     # not at the sender, biasing the very comparison we are making
     profile = replace(QTPLIGHT, audit_skip_interval=0)
-    sender = QtpSender(sim, dst=topo.last.name, profile=profile)
+    sender = QtpSender(sim, dst="h1", profile=profile)
     receiver = _ShadowReceiver(sim, profile=profile, recorder=rec)
-    sender.attach(topo.first, "flow")
-    receiver.attach(topo.last, "flow")
+    sender.attach(net.node("h0"), "flow")
+    receiver.attach(net.node("h1"), "flow")
     sender.start()
     samples: List[Tuple[float, float, float]] = []
 

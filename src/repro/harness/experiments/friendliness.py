@@ -4,16 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.instances import TFRC_MEDIA, build_transport_pair
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
-from repro.metrics.recorder import FlowRecorder
 from repro.metrics.stats import jain_index
 from repro.sim.engine import Simulator
-from repro.sim.queues import RedQueue
-from repro.sim.topology import dumbbell
-from repro.tcp.receiver import TcpReceiver
-from repro.tcp.sender import TcpSender
+from repro.topo import FlowSpec, QueueSpec, ScenarioSpec, build, dumbbell_spec
 
 
 @dataclass
@@ -37,35 +32,24 @@ def friendliness_scenario(
 ) -> FriendlinessResult:
     """One TFRC flow sharing a RED bottleneck with ``n_tcp`` TCP flows."""
     sim = Simulator(seed=seed)
-    red_rng = sim.rng("red")
-    mean_pkt_time = 1000 * 8 / bottleneck_bps
-    d = dumbbell(
-        sim,
-        n_pairs=1 + n_tcp,
-        bottleneck_rate=bottleneck_bps,
-        bottleneck_delay=0.02,
-        bottleneck_queue_factory=lambda: RedQueue(
-            min_th=10, max_th=30, capacity_packets=80,
-            rng=red_rng, mean_pkt_time=mean_pkt_time,
-        ),
+    red = QueueSpec(
+        kind="red", min_th=10, max_th=30, capacity_packets=80, rng_stream="red"
     )
-    tfrc_rec = FlowRecorder("tfrc")
-    build_transport_pair(
-        sim, d.net.node("s0"), d.net.node("d0"), "tfrc", TFRC_MEDIA,
-        recorder=tfrc_rec, start=True,
+    shape = dumbbell_spec(
+        1 + n_tcp, bottleneck_bps=bottleneck_bps, bottleneck_delay=0.02,
+        bottleneck_queue=red,
     )
-    tcp_recs = []
-    for i in range(1, 1 + n_tcp):
-        rec = FlowRecorder(f"tcp{i}")
-        tcp_recs.append(rec)
-        snd = TcpSender(sim, dst=f"d{i}", sack=True)
-        rcv = TcpReceiver(sim, recorder=rec, sack=True)
-        snd.attach(d.net.node(f"s{i}"), f"tcp{i}")
-        rcv.attach(d.net.node(f"d{i}"), f"tcp{i}")
-        snd.start()
+    flows = [FlowSpec("tfrc", "s0", "d0", transport="tfrc")] + [
+        FlowSpec(f"tcp{i}", f"s{i}", f"d{i}", transport="tcp")
+        for i in range(1, 1 + n_tcp)
+    ]
+    built = build(sim, ScenarioSpec("friendliness", shape, tuple(flows)))
     sim.run(until=duration)
-    tfrc_bps = tfrc_rec.mean_rate_bps(warmup, duration)
-    tcp_rates = [r.mean_rate_bps(warmup, duration) for r in tcp_recs]
+    tfrc_bps = built.recorder("tfrc").mean_rate_bps(warmup, duration)
+    tcp_rates = [
+        built.recorder(f"tcp{i}").mean_rate_bps(warmup, duration)
+        for i in range(1, 1 + n_tcp)
+    ]
     tcp_mean = sum(tcp_rates) / len(tcp_rates)
     return FriendlinessResult(
         n_tcp=n_tcp,

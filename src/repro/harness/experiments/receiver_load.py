@@ -16,9 +16,8 @@ from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
 from repro.metrics.cost import CostMeter
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.topology import chain
+from repro.topo import ChannelSpec, ScenarioSpec, build, chain_spec
 
 #: Named receiver compositions available to the registered sweep entry
 #: (the raw scenario takes a full :class:`TransportProfile`, which is
@@ -61,22 +60,16 @@ def receiver_load_scenario(
     shares) does not dominate the peak-memory column.
     """
     sim = Simulator(seed=seed)
-    topo = chain(
-        sim,
-        n_hops=1,
-        rate=rate_bps,
-        delay=0.02,
-        channel_factory=lambda: (
-            BernoulliLossChannel(loss_rate, rng=sim.rng("loss"))
-            if loss_rate > 0
-            else None
-        ),
+    lossy = ChannelSpec(kind="bernoulli", loss_rate=loss_rate, rng_stream="loss")
+    shape = chain_spec(
+        1, rate_bps=rate_bps, delay=0.02, channel=lossy if loss_rate > 0 else None
     )
+    net = build(sim, ScenarioSpec("receiver_load", shape)).net
     rx_meter = CostMeter("receiver")
     tx_meter = CostMeter("sender-estimator")
     rec = FlowRecorder()
     snd, rcv = build_transport_pair(
-        sim, topo.first, topo.last, "flow", profile,
+        sim, net.node("h0"), net.node("h1"), "flow", profile,
         recorder=rec, rx_meter=rx_meter, tx_meter=tx_meter, start=True,
     )
     packets_at_warmup = [0]

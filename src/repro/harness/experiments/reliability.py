@@ -16,9 +16,8 @@ from repro.core.profile import (
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.topology import chain
+from repro.topo import ChannelSpec, ScenarioSpec, build, chain_spec
 
 
 @dataclass
@@ -66,17 +65,11 @@ def reliability_scenario(
     modes repair what the playout deadline still allows.
     """
     sim = Simulator(seed=seed)
-    topo = chain(
-        sim,
-        n_hops=1,
-        rate=rate_bps,
-        delay=0.03,
-        channel_factory=lambda: (
-            BernoulliLossChannel(loss_rate, rng=sim.rng("loss"))
-            if loss_rate > 0
-            else None
-        ),
+    lossy = ChannelSpec(kind="bernoulli", loss_rate=loss_rate, rng_stream="loss")
+    shape = chain_spec(
+        1, rate_bps=rate_bps, delay=0.03, channel=lossy if loss_rate > 0 else None
     )
+    net = build(sim, ScenarioSpec("reliability_modes", shape)).net
     profile = TransportProfile(
         name=f"media-{mode.value}",
         congestion_control=CongestionControl.TFRC,
@@ -88,7 +81,7 @@ def reliability_scenario(
     playout = PlayoutBuffer()
     rec = FlowRecorder()
     snd, rcv = build_transport_pair(
-        sim, topo.first, topo.last, "media", profile,
+        sim, net.node("h0"), net.node("h1"), "media", profile,
         recorder=rec,
         on_deliver=lambda pkt: playout.deliver(pkt, sim.now),
         bulk=False,

@@ -10,8 +10,7 @@ from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
 from repro.metrics.recorder import FlowRecorder
 from repro.sim.engine import Simulator
-from repro.sim.queues import DropTailQueue
-from repro.sim.topology import dumbbell
+from repro.topo import QueueSpec, ScenarioSpec, build, dumbbell_spec
 
 
 @dataclass
@@ -46,23 +45,21 @@ def selfish_receiver_scenario(
     if mode not in ("tfrc", "qtplight"):
         raise ValueError(f"unknown mode {mode!r}")
     sim = Simulator(seed=seed)
-    d = dumbbell(
-        sim,
-        n_pairs=2,
-        bottleneck_rate=bottleneck_bps,
-        bottleneck_delay=0.02,
-        bottleneck_queue_factory=lambda: DropTailQueue(capacity_packets=40),
+    shape = dumbbell_spec(
+        2, bottleneck_bps=bottleneck_bps, bottleneck_delay=0.02,
+        bottleneck_queue=QueueSpec(capacity_packets=40),
     )
+    net = build(sim, ScenarioSpec("selfish_receiver", shape)).net
     cheater_rec = FlowRecorder("cheater")
     victim_rec = FlowRecorder("victim")
     profile = TFRC_MEDIA if mode == "tfrc" else QTPLIGHT
     flt = LyingFeedbackFilter(p_scale=0.0, x_scale=4.0) if lying else None
     build_transport_pair(
-        sim, d.net.node("s0"), d.net.node("d0"), "cheat", profile,
+        sim, net.node("s0"), net.node("d0"), "cheat", profile,
         recorder=cheater_rec, feedback_filter=flt, start=True,
     )
     build_transport_pair(
-        sim, d.net.node("s1"), d.net.node("d1"), "victim", TFRC_MEDIA,
+        sim, net.node("s1"), net.node("d1"), "victim", TFRC_MEDIA,
         recorder=victim_rec, start=True,
     )
     sim.run(until=duration)

@@ -5,16 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.instances import TFRC_MEDIA, build_transport_pair
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
-from repro.metrics.recorder import FlowRecorder
+from repro.metrics.recorder import warmup_bins
 from repro.metrics.stats import coefficient_of_variation
 from repro.sim.engine import Simulator
-from repro.sim.queues import RedQueue
-from repro.sim.topology import dumbbell
-from repro.tcp.receiver import TcpReceiver
-from repro.tcp.sender import TcpSender
+from repro.topo import FlowSpec, QueueSpec, ScenarioSpec, build, dumbbell_spec
 
 
 @dataclass
@@ -48,40 +44,21 @@ def smoothness_scenario(
     buffer would smooth it away).
     """
     sim = Simulator(seed=seed)
-    mean_pkt_time = 1000 * 8 / bottleneck_bps
-    d = dumbbell(
-        sim,
-        n_pairs=2,
-        bottleneck_rate=bottleneck_bps,
-        bottleneck_delay=0.02,
-        bottleneck_queue_factory=lambda: RedQueue(
-            min_th=5, max_th=20, max_p=0.1, capacity_packets=60,
-            rng=sim.rng("red"), mean_pkt_time=mean_pkt_time,
-        ),
+    red = QueueSpec(
+        kind="red", min_th=5, max_th=20, max_p=0.1, capacity_packets=60,
+        rng_stream="red",
     )
-    rec = FlowRecorder(protocol)
-    if protocol == "tcp":
-        snd = TcpSender(sim, dst="d0", sack=True)
-        rcv = TcpReceiver(sim, recorder=rec, sack=True)
-        snd.attach(d.net.node("s0"), "probe")
-        rcv.attach(d.net.node("d0"), "probe")
-        snd.start()
-    elif protocol == "tfrc":
-        build_transport_pair(
-            sim, d.net.node("s0"), d.net.node("d0"), "probe", TFRC_MEDIA,
-            recorder=rec, start=True,
-        )
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    competitor = FlowRecorder("cross")
-    tcp_snd = TcpSender(sim, dst="d1", sack=True)
-    tcp_rcv = TcpReceiver(sim, recorder=competitor, sack=True)
-    tcp_snd.attach(d.net.node("s1"), "cross")
-    tcp_rcv.attach(d.net.node("d1"), "cross")
-    tcp_snd.start()
+    shape = dumbbell_spec(
+        2, bottleneck_bps=bottleneck_bps, bottleneck_delay=0.02, bottleneck_queue=red
+    )
+    flows = (
+        FlowSpec("probe", "s0", "d0", transport=protocol),
+        FlowSpec("cross", "s1", "d1", transport="tcp"),
+    )
+    built = build(sim, ScenarioSpec("smoothness", shape, flows))
     sim.run(until=duration)
-    series = rec.series(bin_width, end=duration)
-    steady = series[int(warmup / bin_width):]
+    rec = built.recorder("probe")
+    steady = rec.series(bin_width, end=duration)[warmup_bins(warmup, bin_width):]
     return SmoothnessResult(
         protocol=protocol,
         mean_bps=rec.mean_rate_bps(warmup, duration),

@@ -2,8 +2,10 @@ r"""Golden trace probes: deterministic runs distilled to exact fingerprints.
 
 A probe runs one small, fixed workload — raw engine churn, a miniature
 T1 dumbbell, a spec-built multi-bottleneck scenario, a generated
-population, a hybrid packet/fluid run — and returns only exact values:
-integer counters (``events_processed``, per-queue enqueued / dropped /
+population, a hybrid packet/fluid run, a registered paper scenario at
+miniature parameters — and returns only exact values: every declared
+metric as its ``repr`` for the registered scenarios, otherwise integer
+counters (``events_processed``, per-queue enqueued / dropped /
 dequeued, per-flow delivered bytes and packets), ``repr``-precision
 floats (final ``sim.now``, FCT sum, the fluid ledger) and, for the raw
 engine, a digest of every ``(time, tag)`` firing in order.  A probe
@@ -325,6 +327,24 @@ def fluid_trace_probe(
     return fingerprint
 
 
+def scenario_trace_probe(scenario: str) -> Dict[str, str]:
+    """Fingerprint one registered paper scenario, miniaturized.
+
+    Runs the scenario the registry holds under ``scenario`` for 6
+    simulated seconds at seed 0 with the parameters of
+    :data:`SCENARIO_PROBE_GRID` and returns every declared metric as
+    its ``repr`` — so the paper tables these scenarios produce (t3–t5,
+    f1, f3, f4) are held float-exact in tier-1, not only by the slow
+    tier's committed tables.
+    """
+    from repro.harness.registry import get_scenario
+
+    result = get_scenario(scenario).fn(
+        duration=6.0, seed=0, **SCENARIO_PROBE_GRID[scenario]
+    )
+    return {name: repr(value) for name, value in result.metrics().items()}
+
+
 #: The raw-engine churn seeds fingerprinted by the golden tests.
 ENGINE_PROBE_SEEDS = (0, 1, 2)
 
@@ -354,6 +374,17 @@ FLUID_PROBE_SCENARIOS = (
     "mmpp_dumbbell",
 )
 
+#: The registered paper scenarios fingerprinted by the goldens, each
+#: with the parameters its miniature run fixes.
+SCENARIO_PROBE_GRID = {
+    "smoothness": {"protocol": "tfrc", "warmup": 1.0},
+    "friendliness": {"n_tcp": 2, "warmup": 1.0},
+    "selfish_receiver": {"mode": "tfrc", "lying": True, "warmup": 1.0},
+    "estimation_accuracy": {"loss_rate": 0.05, "warmup": 1.0},
+    "reliability_modes": {"mode": "partial-time"},
+    "receiver_load": {"profile": "qtplight-retx", "loss_rate": 0.08, "warmup": 1.0},
+}
+
 
 def capture_goldens() -> Dict[str, object]:
     """Run every trace probe and return the full golden fingerprint set."""
@@ -374,5 +405,8 @@ def capture_goldens() -> Dict[str, object]:
         },
         "fluid": {
             name: fluid_trace_probe(name) for name in FLUID_PROBE_SCENARIOS
+        },
+        "scenario": {
+            name: scenario_trace_probe(name) for name in SCENARIO_PROBE_GRID
         },
     }

@@ -173,3 +173,20 @@ class FlowRecorder:
             f"FlowRecorder({self.name!r}, {self.delivered_packets} pkts, "
             f"{self.delivered_bytes} B)"
         )
+
+
+def warmup_bins(warmup: float, bin_width: float) -> int:
+    """How many leading :meth:`FlowRecorder.series` buckets ``warmup`` covers.
+
+    ``floor(warmup / bin_width)``, except that a warm-up written as a
+    multiple of the bin width skips every one of its buckets: the
+    quotient of two decimals can round just below the integer
+    (``0.6 / 0.2 == 2.9999999999999996``), and a plain floor would leak
+    the last warm-up bucket into the steady-state series.
+    """
+    quotient = warmup / bin_width
+    nearest = round(quotient)
+    # aligned up to rounding: both operands and the division round once
+    if abs(quotient - nearest) <= 2 * math.ulp(quotient):
+        return nearest
+    return int(quotient)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.metrics.cost import CostMeter
-from repro.metrics.recorder import FlowRecorder
+from repro.metrics.recorder import FlowRecorder, warmup_bins
 from repro.metrics.stats import coefficient_of_variation, percentile
 
 
@@ -58,7 +58,7 @@ def summarize_flow(
     if end <= warmup:
         raise ValueError("end must be after warmup")
     series = recorder.series(bin_width, end=end)
-    steady = series[int(warmup / bin_width):]
+    steady = series[warmup_bins(warmup, bin_width):]
     # events/latencies are O(n) materialized views: take them once and
     # fold the window in a single pass
     events = recorder.events

@@ -10,15 +10,15 @@ It provides:
 * :class:`repro.sim.node.Node` and :class:`repro.sim.link.Link` —
   store-and-forward forwarding with pluggable queues and channels;
 * :mod:`repro.sim.queues` — DropTail, RED and RIO queue disciplines;
-* :mod:`repro.sim.topology` — dumbbell / chain / star builders with
-  static shortest-path routing.
+* :mod:`repro.sim.topology` — the :class:`Network` container with
+  static shortest-path routing (built from :mod:`repro.topo` specs).
 """
 
 from repro.sim.engine import Event, Simulator, Timer
 from repro.sim.packet import Color, Packet, PacketKind, PacketPool
 from repro.sim.node import Agent, Node
 from repro.sim.link import Link
-from repro.sim.topology import Network, chain, dumbbell, star
+from repro.sim.topology import Network
 
 __all__ = [
     "Simulator",
@@ -32,7 +32,4 @@ __all__ = [
     "Agent",
     "Link",
     "Network",
-    "dumbbell",
-    "chain",
-    "star",
 ]

@@ -1,18 +1,15 @@
-"""Network container, static routing and canonical topology builders.
+"""Network container and static routing.
 
 :class:`Network` owns nodes and links, and computes static shortest-path
 routes (by propagation delay) with one first-hop Dijkstra pass per
-source (:func:`_first_hops`).  The builders create the standard
-evaluation topologies:
-
-* :func:`dumbbell` — N sources, N sinks, one shared bottleneck;
-* :func:`chain` — an H-hop path (multi-hop / ad-hoc experiments);
-* :func:`star` — clients around one hub (server-to-mobiles experiments).
+source (:func:`_first_hops`).  Networks are built from
+:mod:`repro.topo` specs (:func:`repro.topo.build`); the canonical
+dumbbell and chain shapes are :func:`repro.topo.dumbbell_spec` and
+:func:`repro.topo.chain_spec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -180,147 +177,3 @@ def _first_hops(
                 heappush(fringe, (reach, pushes, u))
                 pushes += 1
     return table
-
-
-# ----------------------------------------------------------------------
-# canonical topologies
-# ----------------------------------------------------------------------
-@dataclass
-class Dumbbell:
-    """Handles returned by :func:`dumbbell`.
-
-    ``sources[i]`` talks to ``sinks[i]`` across the shared
-    ``left -> right`` bottleneck link.
-    """
-
-    net: Network
-    sources: List[Node]
-    sinks: List[Node]
-    left: Node
-    right: Node
-    bottleneck: Link
-    reverse_bottleneck: Link
-
-
-def dumbbell(
-    sim: Simulator,
-    n_pairs: int = 2,
-    access_rate: float = 100e6,
-    access_delay: float = 0.001,
-    bottleneck_rate: float = 10e6,
-    bottleneck_delay: float = 0.02,
-    bottleneck_queue_factory: Optional[QueueFactory] = None,
-    access_delays: Optional[List[float]] = None,
-    access_markers: Optional[List[object]] = None,
-) -> Dumbbell:
-    """Build the classic dumbbell used by most experiments.
-
-    Parameters
-    ----------
-    n_pairs: number of source/sink pairs.
-    access_rate, access_delay: per-pair access links (non-bottleneck).
-    bottleneck_rate, bottleneck_delay: the shared link.
-    bottleneck_queue_factory: queue discipline of the bottleneck (both
-        directions), e.g. a RIO queue for the AF experiments.
-    access_delays: optional per-pair overrides of ``access_delay`` (RTT
-        asymmetry experiments).
-    access_markers: optional per-pair DiffServ markers installed on the
-        ``source -> left`` edge link.
-    """
-    net = Network(sim)
-    left, right = net.add_node("left"), net.add_node("right")
-    fwd, back = net.add_duplex_link(
-        "left",
-        "right",
-        bottleneck_rate,
-        bottleneck_delay,
-        queue_factory=bottleneck_queue_factory,
-    )
-    sources, sinks = [], []
-    for i in range(n_pairs):
-        delay = access_delays[i] if access_delays else access_delay
-        marker = access_markers[i] if access_markers else None
-        src = net.add_node(f"s{i}")
-        dst = net.add_node(f"d{i}")
-        net.add_duplex_link(f"s{i}", "left", access_rate, delay, marker=marker)
-        net.add_duplex_link("right", f"d{i}", access_rate, delay)
-        sources.append(src)
-        sinks.append(dst)
-    net.compute_routes()
-    return Dumbbell(net, sources, sinks, left, right, fwd, back)
-
-
-@dataclass
-class Chain:
-    """Handles returned by :func:`chain`: end nodes and the hop links."""
-
-    net: Network
-    first: Node
-    last: Node
-    hops: List[Link]
-
-
-def chain(
-    sim: Simulator,
-    n_hops: int = 4,
-    rate: float = 2e6,
-    delay: float = 0.005,
-    queue_factory: Optional[QueueFactory] = None,
-    channel_factory: Optional[Callable[[], object]] = None,
-) -> Chain:
-    """Build an ``n_hops``-link path h0 - h1 - ... - hN.
-
-    ``channel_factory`` lets every hop carry an independent loss model —
-    the multi-hop wireless scenario of the paper's motivation.
-    """
-    if n_hops < 1:
-        raise ValueError("need at least one hop")
-    net = Network(sim)
-    hops: List[Link] = []
-    for i in range(n_hops):
-        fwd, _ = net.add_duplex_link(
-            f"h{i}",
-            f"h{i + 1}",
-            rate,
-            delay,
-            queue_factory=queue_factory,
-            channel_factory=channel_factory,
-        )
-        hops.append(fwd)
-    net.compute_routes()
-    return Chain(net, net.node("h0"), net.node(f"h{n_hops}"), hops)
-
-
-@dataclass
-class Star:
-    """Handles returned by :func:`star`: the hub and its leaves."""
-
-    net: Network
-    hub: Node
-    leaves: List[Node]
-
-
-def star(
-    sim: Simulator,
-    n_leaves: int = 4,
-    rate: float = 2e6,
-    delay: float = 0.01,
-    queue_factory: Optional[QueueFactory] = None,
-    channel_factory: Optional[Callable[[], object]] = None,
-) -> Star:
-    """Build a hub with ``n_leaves`` spokes (server-to-mobiles scenario)."""
-    net = Network(sim)
-    net.add_node("hub")
-    leaves = []
-    for i in range(n_leaves):
-        net.add_duplex_link(
-            "hub",
-            f"m{i}",
-            rate,
-            delay,
-            queue_factory=queue_factory,
-            channel_factory=channel_factory,
-        )
-        leaves.append(net.node(f"m{i}"))
-    net.compute_routes()
-    return Star(net, net.node("hub"), leaves)

@@ -20,14 +20,17 @@ Module map
     (goldens fingerprint it) and returns a :class:`BuiltScenario`
     handle keyed by flow id and link direction.
 :mod:`repro.topo.generators`
-    Programmatic topology generators for generated populations
+    Programmatic topology generators, all in pinned deterministic
+    order: the two canonical shapes (:func:`dumbbell_spec`,
+    :func:`chain_spec` — the only place their link order is written)
+    and the shapes for generated populations
     (:func:`access_star_spec`, :func:`isp_chain_spec`,
-    :func:`fat_tree_spec`) plus their ``*_endpoints`` pools, all in
-    pinned deterministic order.
+    :func:`fat_tree_spec`) plus their ``*_endpoints`` pools.
 :mod:`repro.topo.presets`
-    Canonical specs: the shared :func:`t1_dumbbell_spec` (the one copy
-    of the T1 scaffold that ``af_assurance``, ``gtfrc_ablation``,
-    ``convergence`` and the golden network probe share) and the PR 3
+    Canonical specs, composed from the generators: the shared
+    :func:`t1_dumbbell_spec` (the one copy of the T1 scaffold that
+    ``af_assurance``, ``gtfrc_ablation``, ``convergence`` and the
+    golden network probe share), :func:`lossy_chain_spec` and the PR 3
     multi-bottleneck shapes (:func:`parking_lot_spec`,
     :func:`reverse_path_chain_spec`, :func:`hetero_sla_dumbbell_spec`).
 
@@ -48,6 +51,8 @@ from repro.topo.build import BuiltScenario, build  # noqa: F401
 from repro.topo.generators import (  # noqa: F401
     access_star_endpoints,
     access_star_spec,
+    chain_spec,
+    dumbbell_spec,
     fat_tree_endpoints,
     fat_tree_spec,
     isp_chain_endpoints,
@@ -85,6 +90,8 @@ __all__ = [
     "access_star_endpoints",
     "access_star_spec",
     "build",
+    "chain_spec",
+    "dumbbell_spec",
     "fat_tree_endpoints",
     "fat_tree_spec",
     "hetero_sla_dumbbell_spec",

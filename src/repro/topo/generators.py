@@ -1,28 +1,103 @@
-"""Programmatic topology generators (PR 6).
+"""Programmatic topology generators.
 
-Parameterized network shapes for generated populations: an access star
-(the canonical "many subscribers behind one conditioned uplink"), an
-ISP-style parking-lot chain of N RIO bottlenecks, and a small folded
+The two canonical evaluation shapes — :func:`dumbbell_spec` (N sources,
+N sinks, one shared bottleneck) and :func:`chain_spec` (an H-hop path)
+— plus the parameterized shapes for generated populations: an access
+star (the canonical "many subscribers behind one conditioned uplink"),
+an ISP-style parking-lot chain of N RIO bottlenecks, and a small folded
 fat-tree.  Each generator returns a plain
 :class:`~repro.topo.specs.TopologySpec` with links in a **pinned
 deterministic order** (bottleneck links first, then access links in
-host order — the convention the hand-written presets follow), so a
-generated topology builds bit-identically for the same parameters.
+host order — the convention the presets follow), so a generated
+topology builds bit-identically for the same parameters.
 
-Each shape ships an ``*_endpoints`` helper returning the natural
-``(src, dst)`` pool for :class:`~repro.traffic.specs.PopulationSpec`,
-in the same pinned order.
+Each population shape ships an ``*_endpoints`` helper returning the
+natural ``(src, dst)`` pool for
+:class:`~repro.traffic.specs.PopulationSpec`, in the same pinned order.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.topo.presets import RIO
-from repro.topo.specs import LinkSpec, TopologySpec
+from repro.topo.specs import (
+    ChannelSpec,
+    LinkSpec,
+    MarkerSpec,
+    QueueSpec,
+    TopologySpec,
+)
 
 Endpoints = Tuple[Tuple[str, str], ...]
+
+#: The RIO discipline every AF bottleneck uses (class defaults;
+#: ``mean_pkt_time`` derives from the owning link's rate).
+RIO = QueueSpec(kind="rio")
+
+
+def dumbbell_spec(
+    n_pairs: int,
+    *,
+    bottleneck_bps: float = 10e6,
+    bottleneck_delay: float = 0.02,
+    bottleneck_queue: QueueSpec = QueueSpec(),
+    access_rate: float = 100e6,
+    access_delay: float = 0.001,
+    access_delays: Optional[Sequence[float]] = None,
+    access_markers: Optional[Sequence[Optional[MarkerSpec]]] = None,
+) -> TopologySpec:
+    """The classic dumbbell: ``s{i} -> left -> right -> d{i}``.
+
+    ``n_pairs`` source/sink pairs share the ``left -> right``
+    bottleneck, which carries ``bottleneck_queue`` in both directions
+    (e.g. :data:`RIO` for the AF experiments).  ``access_delays``
+    overrides ``access_delay`` per pair (RTT-asymmetry experiments);
+    ``access_markers`` puts a per-pair DiffServ marker on the
+    ``s{i} -> left`` edge link only.  Link order: the bottleneck first,
+    then per pair ``s{i}–left`` and ``right–d{i}``.
+    """
+    if n_pairs < 1:
+        raise ValueError(f"need at least one pair (got n_pairs={n_pairs})")
+    delays = [access_delay] * n_pairs if access_delays is None else access_delays
+    markers = [None] * n_pairs if access_markers is None else access_markers
+    for name, per_pair in (("access_delays", delays), ("access_markers", markers)):
+        if len(per_pair) != n_pairs:
+            raise ValueError(
+                f"{name} has {len(per_pair)} entries for n_pairs={n_pairs}"
+            )
+    links: List[LinkSpec] = [
+        LinkSpec(
+            "left", "right", bottleneck_bps, bottleneck_delay, queue=bottleneck_queue
+        )
+    ]
+    for i, (delay, marker) in enumerate(zip(delays, markers)):
+        links.append(LinkSpec(f"s{i}", "left", access_rate, delay, marker=marker))
+        links.append(LinkSpec("right", f"d{i}", access_rate, delay))
+    return TopologySpec(links=tuple(links))
+
+
+def chain_spec(
+    n_hops: int = 4,
+    *,
+    rate_bps: float = 2e6,
+    delay: float = 0.005,
+    queue: QueueSpec = QueueSpec(),
+    channel: Optional[ChannelSpec] = None,
+) -> TopologySpec:
+    """An ``n_hops``-link path ``h0 - h1 - ... - hN``, in hop order.
+
+    ``channel`` puts an independent loss model on both directions of
+    every hop — the multi-hop wireless scenario of the paper's
+    motivation.
+    """
+    if n_hops < 1:
+        raise ValueError("need at least one hop")
+    hops = (
+        LinkSpec(f"h{i}", f"h{i + 1}", rate_bps, delay, queue=queue, channel=channel)
+        for i in range(n_hops)
+    )
+    return TopologySpec(links=tuple(hops))
 
 
 def access_star_spec(

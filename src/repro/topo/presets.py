@@ -1,5 +1,10 @@
 """Canonical scenario specs: the shared T1 dumbbell and the PR 3 shapes.
 
+Every dumbbell and chain here takes its links from the shape generators
+(:func:`repro.topo.generators.dumbbell_spec`,
+:func:`repro.topo.generators.chain_spec`); a preset adds the queue
+discipline, the markers and the flows.
+
 :func:`t1_dumbbell_spec` is the single source of the DiffServ AF
 dumbbell that ``af_assurance``, ``gtfrc_ablation``, ``convergence`` and
 the benchmark network trace probe previously each rebuilt by hand; its
@@ -19,22 +24,19 @@ The other presets open the multi-bottleneck workloads:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
+from repro.topo.generators import RIO, chain_spec, dumbbell_spec
 from repro.topo.specs import (
     ChannelSpec,
     FlowSpec,
     LinkSpec,
     MarkerSpec,
-    QueueSpec,
     ScenarioSpec,
     SlaSpec,
     TopologySpec,
 )
-
-#: The RIO discipline every AF bottleneck uses (class defaults;
-#: ``mean_pkt_time`` derives from the owning link's rate).
-RIO = QueueSpec(kind="rio")
 
 
 def t1_dumbbell_spec(
@@ -60,19 +62,7 @@ def t1_dumbbell_spec(
     assured flow; the convergence experiment steps them in later).
     """
     delay0 = assured_access_delay if assured_access_delay is not None else access_delay
-    links = [
-        LinkSpec("left", "right", bottleneck_bps, bottleneck_delay, queue=RIO),
-        LinkSpec(
-            "s0",
-            "left",
-            access_rate,
-            delay0,
-            marker=MarkerSpec(
-                sla=SlaSpec("assured", target_bps, burst_bytes=burst_bytes)
-            ),
-        ),
-        LinkSpec("right", "d0", access_rate, delay0),
-    ]
+    assured = MarkerSpec(sla=SlaSpec("assured", target_bps, burst_bytes=burst_bytes))
     flows = [
         FlowSpec(
             "assured",
@@ -84,8 +74,6 @@ def t1_dumbbell_spec(
         )
     ]
     for i in range(1, 1 + n_cross):
-        links.append(LinkSpec(f"s{i}", "left", access_rate, access_delay))
-        links.append(LinkSpec("right", f"d{i}", access_rate, access_delay))
         flows.append(
             FlowSpec(
                 f"x{i}",
@@ -98,7 +86,15 @@ def t1_dumbbell_spec(
         )
     return ScenarioSpec(
         name="t1_dumbbell",
-        topology=TopologySpec(links=tuple(links)),
+        topology=dumbbell_spec(
+            1 + n_cross,
+            bottleneck_bps=bottleneck_bps,
+            bottleneck_delay=bottleneck_delay,
+            bottleneck_queue=RIO,
+            access_rate=access_rate,
+            access_delays=[delay0] + [access_delay] * n_cross,
+            access_markers=[assured] + [None] * n_cross,
+        ),
         flows=tuple(flows),
         description="AF dumbbell: assured flow + TCP cross on one RIO bottleneck",
     )
@@ -117,15 +113,12 @@ def lossy_chain_spec(
     """The F2 lossy multi-hop chain: one flow over per-hop random loss.
 
     ``h0 -> h1 -> ... -> hN`` with an independent loss channel on
-    *every* link direction (each drawing from the shared ``rng_stream``
-    — the convention the hand-built ``chain(channel_factory=...)``
-    scaffold used).  ``bursty=True`` selects a Gilbert–Elliott channel
+    *every* link direction (each drawing from the shared
+    ``rng_stream``).  ``bursty=True`` selects a Gilbert–Elliott channel
     tuned to the same steady-state loss rate (fixed bad-state dynamics,
     ``p_g2b`` solved for the target); otherwise losses are Bernoulli.
     A non-positive ``loss_rate`` leaves the chain clean.
     """
-    if n_hops < 1:
-        raise ValueError("need at least one hop")
     channel = None
     if loss_rate > 0:
         if bursty:
@@ -143,19 +136,12 @@ def lossy_chain_spec(
             channel = ChannelSpec(
                 kind="bernoulli", loss_rate=loss_rate, rng_stream=rng_stream
             )
-    links = [
-        LinkSpec(
-            f"h{i}", f"h{i + 1}", hop_rate_bps, hop_delay, channel=channel
-        )
-        for i in range(n_hops)
-    ]
-    flows = (
-        FlowSpec("flow", "h0", f"h{n_hops}", transport=protocol),
-    )
     return ScenarioSpec(
         name="lossy_chain",
-        topology=TopologySpec(links=tuple(links)),
-        flows=flows,
+        topology=chain_spec(
+            n_hops, rate_bps=hop_rate_bps, delay=hop_delay, channel=channel
+        ),
+        flows=(FlowSpec("flow", "h0", f"h{n_hops}", transport=protocol),),
         description="one flow over an H-hop chain with per-hop random loss",
     )
 
@@ -255,27 +241,9 @@ def reverse_path_chain_spec(
     queues that the assured flow's feedback reports traverse — the
     ACK-path congestion case that stresses gTFRC's control loop.
     """
-    if n_hops < 1:
-        raise ValueError("need at least one hop")
+    hops = chain_spec(n_hops, rate_bps=rate_bps, delay=hop_delay, queue=RIO).links
+    edge = MarkerSpec(sla=SlaSpec("assured", target_bps, burst_bytes=burst_bytes))
     last = f"h{n_hops}"
-    links = []
-    for i in range(n_hops):
-        links.append(
-            LinkSpec(
-                f"h{i}",
-                f"h{i + 1}",
-                rate_bps,
-                hop_delay,
-                queue=RIO,
-                marker=(
-                    MarkerSpec(
-                        sla=SlaSpec("assured", target_bps, burst_bytes=burst_bytes)
-                    )
-                    if i == 0
-                    else None
-                ),
-            )
-        )
     flows = [
         FlowSpec("assured", "h0", last, transport=protocol, target_bps=target_bps)
     ]
@@ -292,7 +260,7 @@ def reverse_path_chain_spec(
         )
     return ScenarioSpec(
         name="reverse_path_chain",
-        topology=TopologySpec(links=tuple(links)),
+        topology=TopologySpec(links=(replace(hops[0], marker=edge),) + hops[1:]),
         flows=tuple(flows),
         description="AF chain with TCP cross traffic on the feedback path",
     )
@@ -319,38 +287,30 @@ def hetero_sla_dumbbell_spec(
     targets: Tuple[float, ...] = tuple(targets_bps)
     if not targets:
         raise ValueError("need at least one assured target")
-    links = [
-        LinkSpec("left", "right", bottleneck_bps, bottleneck_delay, queue=RIO)
-    ]
-    flows = []
-    for i, target in enumerate(targets):
-        links.append(
-            LinkSpec(
-                f"s{i}",
-                "left",
-                access_rate,
-                access_delay,
-                marker=MarkerSpec(
-                    sla=SlaSpec(f"af{i}", target, burst_bytes=burst_bytes)
-                ),
-            )
-        )
-        links.append(LinkSpec("right", f"d{i}", access_rate, access_delay))
-        flows.append(
-            FlowSpec(
-                f"af{i}", f"s{i}", f"d{i}", transport=protocol, target_bps=target
-            )
-        )
     n = len(targets)
+    flows = [
+        FlowSpec(f"af{i}", f"s{i}", f"d{i}", transport=protocol, target_bps=target)
+        for i, target in enumerate(targets)
+    ]
     for j in range(n_cross):
-        links.append(LinkSpec(f"s{n + j}", "left", access_rate, access_delay))
-        links.append(LinkSpec("right", f"d{n + j}", access_rate, access_delay))
         flows.append(
             FlowSpec(f"x{j + 1}", f"s{n + j}", f"d{n + j}", transport="tcp")
         )
+    markers = [
+        MarkerSpec(sla=SlaSpec(f"af{i}", target, burst_bytes=burst_bytes))
+        for i, target in enumerate(targets)
+    ]
     return ScenarioSpec(
         name="hetero_sla",
-        topology=TopologySpec(links=tuple(links)),
+        topology=dumbbell_spec(
+            n + n_cross,
+            bottleneck_bps=bottleneck_bps,
+            bottleneck_delay=bottleneck_delay,
+            bottleneck_queue=RIO,
+            access_rate=access_rate,
+            access_delay=access_delay,
+            access_markers=markers + [None] * n_cross,
+        ),
         flows=tuple(flows),
         description="mixed-rate SLAs competing inside one AF class",
     )

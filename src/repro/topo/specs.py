@@ -115,9 +115,7 @@ class ChannelSpec:
 
     Channels draw from the named :meth:`~repro.sim.engine.Simulator.rng`
     stream (memoized per name, like queue streams), so every channel
-    sharing ``rng_stream`` shares one deterministic sequence — exactly
-    the convention the hand-built ``chain(channel_factory=...)``
-    scenarios used.
+    sharing ``rng_stream`` shares one deterministic sequence.
 
     ``kind`` selects the model: ``bernoulli`` (i.i.d. loss at
     ``loss_rate``), ``gilbert_elliott`` (two-state bursty loss;
@@ -251,9 +249,10 @@ class TopologySpec:
     """Nodes and links, in build order.
 
     ``nodes`` optionally pre-declares creation order; any endpoint not
-    listed is created lazily when its first link is built (for the
-    canonical dumbbell/chain/star shapes the lazy order already matches
-    the historical builders exactly).
+    listed is created lazily when its first link is built.  The
+    canonical dumbbell and chain shapes are generated, not hand-listed:
+    :func:`repro.topo.generators.dumbbell_spec` and
+    :func:`repro.topo.generators.chain_spec`.
     """
 
     links: Tuple[LinkSpec, ...]
@@ -356,12 +355,15 @@ class ScenarioSpec:
     """A complete composable scenario: topology plus flows, in order.
 
     Flow order is semantic: senders start (or are scheduled) in tuple
-    order, which pins simultaneous-event tie-breaking.
+    order, which pins simultaneous-event tie-breaking.  With no flows
+    the spec compiles to a bare routed network for a caller that
+    attaches endpoints ``FlowSpec`` cannot express (a feedback filter,
+    cost meters, an application source).
     """
 
     name: str
     topology: TopologySpec
-    flows: Tuple[FlowSpec, ...]
+    flows: Tuple[FlowSpec, ...] = ()
     description: str = ""
 
     def __post_init__(self) -> None:

@@ -8,14 +8,14 @@ from repro.core.instances import TFRC_MEDIA, build_transport_pair
 from repro.metrics.recorder import FlowRecorder
 from repro.sim.engine import Simulator
 from repro.sim.packet import AppDataHeader, Packet
-from repro.sim.topology import chain
+from repro.topo import ScenarioSpec, build, chain_spec
 
 
 def media_pair(sim, rate=5e6):
-    topo = chain(sim, n_hops=1, rate=rate, delay=0.01)
+    net = build(sim, ScenarioSpec("t", chain_spec(1, rate_bps=rate, delay=0.01))).net
     rec = FlowRecorder()
     snd, rcv = build_transport_pair(
-        sim, topo.first, topo.last, "f", TFRC_MEDIA,
+        sim, net.node("h0"), net.node("h1"), "f", TFRC_MEDIA,
         recorder=rec, bulk=False, start=True,
     )
     return snd, rcv, rec

@@ -5,26 +5,26 @@ import pytest
 from repro.core.instances import QTPLIGHT, TFRC_MEDIA, build_transport_pair
 from repro.core.qtplight import LyingFeedbackFilter
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.topology import chain
+from repro.topo import ChannelSpec, ScenarioSpec, build, chain_spec
 
 
 def run_pair(lying=False, loss=0.02, duration=25.0, seed=3, audit=150):
     from dataclasses import replace
 
     sim = Simulator(seed=seed)
-    topo = chain(
-        sim, n_hops=1, rate=2e6, delay=0.02,
-        channel_factory=lambda: (
-            BernoulliLossChannel(loss, rng=sim.rng("l")) if loss > 0 else None
-        ),
+    channel = (
+        ChannelSpec(kind="bernoulli", loss_rate=loss, rng_stream="l")
+        if loss > 0
+        else None
     )
+    shape = chain_spec(1, rate_bps=2e6, delay=0.02, channel=channel)
+    net = build(sim, ScenarioSpec("t", shape)).net
     rec = FlowRecorder()
     profile = replace(QTPLIGHT, audit_skip_interval=audit)
     flt = LyingFeedbackFilter() if lying else None
     snd, rcv = build_transport_pair(
-        sim, topo.first, topo.last, "f", profile,
+        sim, net.node("h0"), net.node("h1"), "f", profile,
         recorder=rec, feedback_filter=flt, start=True,
     )
     sim.run(until=duration)
@@ -73,10 +73,12 @@ class TestQtplightNoReceiverEstimatorRegression:
         from repro.metrics.cost import CostMeter
 
         sim = Simulator(seed=3)
-        topo = chain(sim, n_hops=1, rate=2e6, delay=0.02)
+        shape = chain_spec(1, rate_bps=2e6, delay=0.02)
+        net = build(sim, ScenarioSpec("t", shape)).net
         meter = CostMeter()
         snd, rcv = build_transport_pair(
-            sim, topo.first, topo.last, "f", QTPLIGHT, rx_meter=meter, start=True
+            sim, net.node("h0"), net.node("h1"), "f", QTPLIGHT,
+            rx_meter=meter, start=True,
         )
         sim.run(until=10)
         # per-packet receiver work stays in the SACK-state ballpark

@@ -6,9 +6,8 @@ from repro.core.connection import Initiator, Responder
 from repro.core.negotiation import CapabilitySet
 from repro.core.profile import CongestionControl, LossEstimationSite
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.topology import chain, dumbbell
+from repro.topo import ChannelSpec, ScenarioSpec, build, chain_spec, dumbbell_spec
 
 
 def handshake(sim, net_src, net_dst, init_caps, resp_caps, **init_kw):
@@ -29,7 +28,8 @@ def handshake(sim, net_src, net_dst, init_caps, resp_caps, **init_kw):
 class TestHandshake:
     def test_profile_agreed_and_data_flows(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=2e6, bottleneck_delay=0.02)
+        shape = dumbbell_spec(1, bottleneck_bps=2e6, bottleneck_delay=0.02)
+        d = build(sim, ScenarioSpec("t", shape))
         init, resp, est = handshake(
             sim, d.net.node("s0"), d.net.node("d0"),
             CapabilitySet(), CapabilitySet(),
@@ -41,7 +41,7 @@ class TestHandshake:
 
     def test_light_receiver_negotiates_qtplight(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1)
+        d = build(sim, ScenarioSpec("t", dumbbell_spec(1)))
         _, _, est = handshake(
             sim, d.net.node("s0"), d.net.node("d0"),
             CapabilitySet(), CapabilitySet(light_receiver=True),
@@ -53,7 +53,7 @@ class TestHandshake:
 
     def test_rejection_invokes_failure_callback(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1)
+        d = build(sim, ScenarioSpec("t", dumbbell_spec(1)))
         failures = []
         resp = Responder(
             sim,
@@ -70,12 +70,11 @@ class TestHandshake:
 
     def test_offer_retransmitted_over_lossy_path(self):
         sim = Simulator(seed=6)
-        topo = chain(
-            sim, n_hops=1, rate=1e6, delay=0.02,
-            channel_factory=lambda: BernoulliLossChannel(0.6, rng=sim.rng("l")),
-        )
+        lossy = ChannelSpec(kind="bernoulli", loss_rate=0.6, rng_stream="l")
+        shape = chain_spec(1, rate_bps=1e6, delay=0.02, channel=lossy)
+        net = build(sim, ScenarioSpec("t", shape)).net
         init, resp, est = handshake(
-            sim, topo.first, topo.last, CapabilitySet(), CapabilitySet(),
+            sim, net.node("h0"), net.node("h1"), CapabilitySet(), CapabilitySet(),
         )
         sim.run(until=8)
         assert "snd" in est  # survived 60% control-packet loss
@@ -83,7 +82,7 @@ class TestHandshake:
 
     def test_duplicate_offers_answered_idempotently(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1)
+        d = build(sim, ScenarioSpec("t", dumbbell_spec(1)))
         init, resp, est = handshake(
             sim, d.net.node("s0"), d.net.node("d0"),
             CapabilitySet(), CapabilitySet(),

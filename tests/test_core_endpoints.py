@@ -17,27 +17,36 @@ from repro.core.profile import (
 )
 from repro.metrics.cost import CostMeter
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
 from repro.sim.packet import AppDataHeader
-from repro.sim.queues import DropTailQueue
-from repro.sim.topology import chain, dumbbell
+from repro.topo import (
+    ChannelSpec,
+    QueueSpec,
+    ScenarioSpec,
+    build,
+    chain_spec,
+    dumbbell_spec,
+)
 
 
 def lossy_link(sim, loss=0.02, rate=2e6):
-    return chain(
-        sim, n_hops=1, rate=rate, delay=0.02,
-        channel_factory=lambda: (
-            BernoulliLossChannel(loss, rng=sim.rng("loss")) if loss > 0 else None
-        ),
+    channel = (
+        ChannelSpec(kind="bernoulli", loss_rate=loss, rng_stream="loss")
+        if loss > 0
+        else None
     )
+    shape = chain_spec(1, rate_bps=rate, delay=0.02, channel=channel)
+    return build(sim, ScenarioSpec("t", shape)).net
 
 
 class TestProfileEquivalence:
     def run_profile(self, profile, seed=1, duration=25.0):
         sim = Simulator(seed=seed)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=2e6, bottleneck_delay=0.02,
-                     bottleneck_queue_factory=lambda: DropTailQueue(capacity_packets=25))
+        shape = dumbbell_spec(
+            1, bottleneck_bps=2e6, bottleneck_delay=0.02,
+            bottleneck_queue=QueueSpec(capacity_packets=25),
+        )
+        d = build(sim, ScenarioSpec("t", shape))
         rec = FlowRecorder()
         snd, rcv = build_transport_pair(
             sim, d.net.node("s0"), d.net.node("d0"), "f", profile,
@@ -65,10 +74,10 @@ class TestQtplightCostShift:
         results = {}
         for profile in (TFRC_MEDIA, QTPLIGHT):
             sim = Simulator(seed=2)
-            topo = lossy_link(sim, loss=0.03)
+            net = lossy_link(sim, loss=0.03)
             rx, tx = CostMeter(), CostMeter()
             snd, rcv = build_transport_pair(
-                sim, topo.first, topo.last, "f", profile,
+                sim, net.node("h0"), net.node("h1"), "f", profile,
                 rx_meter=rx, tx_meter=tx, start=True,
             )
             sim.run(until=20)
@@ -85,9 +94,9 @@ class TestQtplightCostShift:
 
     def test_qtplight_receiver_has_no_estimator(self):
         sim = Simulator(seed=1)
-        topo = lossy_link(sim)
+        net = lossy_link(sim)
         snd, rcv = build_transport_pair(
-            sim, topo.first, topo.last, "f", QTPLIGHT, start=True
+            sim, net.node("h0"), net.node("h1"), "f", QTPLIGHT, start=True
         )
         assert rcv.estimator is None
         assert rcv.sack_state is not None
@@ -97,14 +106,14 @@ class TestQtplightCostShift:
 class TestReliability:
     def test_full_reliability_delivers_everything_in_order(self):
         sim = Simulator(seed=3)
-        topo = lossy_link(sim, loss=0.05)
+        net = lossy_link(sim, loss=0.05)
         got = []
         profile = TransportProfile(
             name="full",
             reliability=ReliabilityMode.FULL,
         )
         snd, rcv = build_transport_pair(
-            sim, topo.first, topo.last, "f", profile,
+            sim, net.node("h0"), net.node("h1"), "f", profile,
             on_deliver=lambda p: got.append(p.header.seq), start=True,
         )
         sim.run(until=30)
@@ -115,23 +124,23 @@ class TestReliability:
 
     def test_no_reliability_never_retransmits(self):
         sim = Simulator(seed=3)
-        topo = lossy_link(sim, loss=0.05)
+        net = lossy_link(sim, loss=0.05)
         snd, rcv = build_transport_pair(
-            sim, topo.first, topo.last, "f", TFRC_MEDIA, start=True
+            sim, net.node("h0"), net.node("h1"), "f", TFRC_MEDIA, start=True
         )
         sim.run(until=20)
         assert snd.retransmissions == 0
 
     def test_partial_count_bounds_retransmissions(self):
         sim = Simulator(seed=3)
-        topo = lossy_link(sim, loss=0.05)
+        net = lossy_link(sim, loss=0.05)
         profile = TransportProfile(
             name="partial",
             reliability=ReliabilityMode.PARTIAL_COUNT,
             partial_max_retx=1,
         )
         snd, rcv = build_transport_pair(
-            sim, topo.first, topo.last, "f", profile, start=True
+            sim, net.node("h0"), net.node("h1"), "f", profile, start=True
         )
         sim.run(until=20)
         assert snd.retransmissions > 0
@@ -142,7 +151,7 @@ class TestReliability:
 
     def test_forward_ack_lets_receiver_skip_abandoned(self):
         sim = Simulator(seed=4)
-        topo = lossy_link(sim, loss=0.08)
+        net = lossy_link(sim, loss=0.08)
         got = []
         profile = TransportProfile(
             name="partial-time",
@@ -150,7 +159,7 @@ class TestReliability:
             partial_deadline=0.2,
         )
         snd, rcv = build_transport_pair(
-            sim, topo.first, topo.last, "f", profile,
+            sim, net.node("h0"), net.node("h1"), "f", profile,
             on_deliver=lambda p: got.append(p.header.seq), start=True,
         )
         sim.run(until=20)
@@ -161,9 +170,9 @@ class TestReliability:
 
     def test_media_mode_sender_idles_without_data(self):
         sim = Simulator(seed=1)
-        topo = lossy_link(sim, loss=0.0)
+        net = lossy_link(sim, loss=0.0)
         snd, rcv = build_transport_pair(
-            sim, topo.first, topo.last, "f", TFRC_MEDIA, bulk=False, start=True
+            sim, net.node("h0"), net.node("h1"), "f", TFRC_MEDIA, bulk=False, start=True
         )
         sim.run(until=5)
         assert snd.sent_packets == 0
@@ -179,7 +188,7 @@ class TestGtfrcComposition:
         from repro.tfrc.gtfrc import GtfrcRateController
 
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1)
+        d = build(sim, ScenarioSpec("t", dumbbell_spec(1)))
         snd, _ = build_transport_pair(
             sim, d.net.node("s0"), d.net.node("d0"), "f", QTPAF(1e6)
         )
@@ -191,7 +200,7 @@ class TestGtfrcComposition:
         from repro.tcp.sender import TcpSender
 
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1)
+        d = build(sim, ScenarioSpec("t", dumbbell_spec(1)))
         snd, rcv = build_transport_pair(
             sim, d.net.node("s0"), d.net.node("d0"), "f", TCP_LIKE
         )

@@ -10,9 +10,14 @@ delivered bytes)`` for miniature network runs.  These tests prove that
   loss tracking, prefix-sum recorders), and
 * two runs in one process are identical (no hidden global state).
 
+The ``scenario`` section is of another kind: every declared metric of
+six registered paper scenarios (the t3–t5, f1, f3, f4 tables) at
+miniature parameters, captured from the hand-wired scenarios before
+they were ported onto :mod:`repro.topo` specs.
+
 They run in tier-1, and they cover the whole golden file: every probe
 on every grid of :mod:`repro.harness.probes` is compared with its entry
-(~2.5 s in all), and each section's keys must equal the grid that
+(~3 s in all), and each section's keys must equal the grid that
 produces them, so a probe without a golden, or a golden without a
 probe, fails by name.
 """
@@ -25,12 +30,14 @@ import pytest
 from repro.harness.probes import (
     ENGINE_PROBE_SEEDS,
     FLUID_PROBE_SCENARIOS,
+    SCENARIO_PROBE_GRID,
     TOPO_PROBE_SCENARIOS,
     TRACE_PROBE_GRID,
     TRAFFIC_PROBE_SCENARIOS,
     engine_trace_probe,
     fluid_trace_probe,
     network_trace_probe,
+    scenario_trace_probe,
     topo_trace_probe,
     traffic_trace_probe,
 )
@@ -55,6 +62,7 @@ GOLDEN_KEYS = {
     "topo": list(TOPO_PROBE_SCENARIOS),
     "traffic": list(TRAFFIC_PROBE_SCENARIOS),
     "fluid": list(FLUID_PROBE_SCENARIOS),
+    "scenario": list(SCENARIO_PROBE_GRID),
 }
 
 
@@ -133,6 +141,13 @@ def test_fluid_probe_is_repeatable():
     a = fluid_trace_probe("hybrid_flash_crowd", seed=3, duration=3.0)
     b = fluid_trace_probe("hybrid_flash_crowd", seed=3, duration=3.0)
     assert a == b
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_PROBE_GRID)
+def test_registered_scenario_metrics_match_golden(goldens, scenario):
+    # pins the six paper scenarios that build their network from a
+    # repro.topo shape to what their hand-wired predecessors computed
+    assert scenario_trace_probe(scenario) == goldens["scenario"][scenario]
 
 
 def test_fluid_disabled_matches_foreground_only_run(monkeypatch):

@@ -5,20 +5,18 @@ import pytest
 from repro.core.instances import QTPLIGHT, build_transport_pair
 from repro.core.profile import ReliabilityMode, TransportProfile
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.topology import chain
+from repro.topo import ChannelSpec, ScenarioSpec, build, chain_spec
 
 
 def run(profile, loss=0.05, duration=25.0, seed=4):
     sim = Simulator(seed=seed)
-    topo = chain(
-        sim, n_hops=1, rate=2e6, delay=0.02,
-        channel_factory=lambda: BernoulliLossChannel(loss, rng=sim.rng("l")),
-    )
+    lossy = ChannelSpec(kind="bernoulli", loss_rate=loss, rng_stream="l")
+    shape = chain_spec(1, rate_bps=2e6, delay=0.02, channel=lossy)
+    net = build(sim, ScenarioSpec("t", shape)).net
     rec = FlowRecorder()
     snd, rcv = build_transport_pair(
-        sim, topo.first, topo.last, "f", profile, recorder=rec, start=True
+        sim, net.node("h0"), net.node("h1"), "f", profile, recorder=rec, start=True
     )
     sim.run(until=duration)
     return snd, rcv, rec

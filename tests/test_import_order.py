@@ -4,8 +4,14 @@ The suite imports dozens of ``repro`` modules into one process, so an
 import cycle that only bites when a particular package comes *first*
 (``import repro.traffic`` before anything imported ``repro.topo``) is
 invisible to every other test.
+
+Also here, because they too read the import graph rather than run
+anything: scenario modules reach the network only through
+``repro.topo``, and ``repro.sim.topology`` holds nothing but the
+``Network``.
 """
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -30,6 +36,41 @@ def test_imports_first_in_a_fresh_interpreter(module):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_scenarios_build_their_network_from_specs_only():
+    # one construction path: a scenario module describes its network as
+    # a repro.topo spec and never touches the pieces build() assembles
+    hand_wiring = {
+        "repro.sim.topology", "repro.sim.link", "repro.sim.queues",
+        "repro.netem.channels",
+    }
+    offenders = {}
+    for path in sorted(Path(SRC, "repro/harness/experiments").glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+                imported.update(f"{node.module}.{a.name}" for a in node.names)
+        if imported & hand_wiring:
+            offenders[path.name] = sorted(imported & hand_wiring)
+    assert offenders == {}
+
+
+def test_sim_topology_is_the_network_and_nothing_else():
+    import repro.sim.topology
+
+    defined = set()
+    for node in ast.parse(Path(repro.sim.topology.__file__).read_text()).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets)
+    assert {n for n in defined if not n.startswith("_")} == {
+        "Network", "QueueFactory",
+    }
 
 
 def test_fluid_package_still_serves_the_derive_names():

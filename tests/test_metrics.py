@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics.cost import CostMeter, NullMeter
-from repro.metrics.recorder import FlowRecorder
+from repro.metrics.recorder import FlowRecorder, warmup_bins
 from repro.metrics.stats import (
     coefficient_of_variation,
     jain_index,
@@ -154,6 +154,26 @@ class TestFlowRecorder:
         rec.record(0.5, pkt(size=400))
         rec.record(5.0, pkt(size=400))
         assert rec.series(1.0, end=1.0) == [400.0]
+
+    def test_aligned_warmup_skips_exactly_its_bins(self):
+        # 0.6 / 0.2 == 2.9999999999999996: a plain floor kept the last
+        # warm-up bin in the steady series for a third of the decimal
+        # multiples of 0.05, 0.1 and 0.2
+        for width in (0.05, 0.1, 0.2, 0.25, 0.5):
+            for k in range(1, 1001):
+                warmup = float(f"{k * width:.10g}")  # as a caller writes it
+                assert warmup_bins(warmup, width) == k, (warmup, width)
+        # a warm-up between two edges still floors
+        assert warmup_bins(0.6000001, 0.2) == 3
+        assert warmup_bins(0.5999, 0.2) == 2
+        assert warmup_bins(0.0, 0.2) == 0
+
+    def test_smoothness_series_length_is_monotone_in_warmup(self):
+        from repro.harness.experiments.smoothness import smoothness_scenario
+
+        for warmup in (0.6, 0.6000001):
+            result = smoothness_scenario("tfrc", duration=2.0, warmup=warmup)
+            assert len(result.series_bps) == 7, warmup
 
     def test_mean_rate_bisect_matches_scan(self):
         # the prefix-sum fast path must equal the definitional scan for

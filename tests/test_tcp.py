@@ -3,12 +3,17 @@
 import pytest
 
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.queues import DropTailQueue
-from repro.sim.topology import chain, dumbbell
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
+from repro.topo import (
+    ChannelSpec,
+    QueueSpec,
+    ScenarioSpec,
+    build,
+    chain_spec,
+    dumbbell_spec,
+)
 
 
 def tcp_pair(sim, src, dst, flow, recorder=None, **kw):
@@ -22,8 +27,11 @@ def tcp_pair(sim, src, dst, flow, recorder=None, **kw):
 class TestCleanPath:
     def test_saturates_bottleneck(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=4e6, bottleneck_delay=0.02,
-                     bottleneck_queue_factory=lambda: DropTailQueue(capacity_packets=50))
+        shape = dumbbell_spec(
+            1, bottleneck_bps=4e6, bottleneck_delay=0.02,
+            bottleneck_queue=QueueSpec(capacity_packets=50),
+        )
+        d = build(sim, ScenarioSpec("t", shape))
         rec = FlowRecorder()
         snd, _ = tcp_pair(sim, d.net.node("s0"), d.net.node("d0"), "f", rec)
         snd.start()
@@ -32,8 +40,11 @@ class TestCleanPath:
 
     def test_no_loss_means_no_retransmissions(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=4e6, bottleneck_delay=0.02,
-                     bottleneck_queue_factory=lambda: DropTailQueue(capacity_packets=500))
+        shape = dumbbell_spec(
+            1, bottleneck_bps=4e6, bottleneck_delay=0.02,
+            bottleneck_queue=QueueSpec(capacity_packets=500),
+        )
+        d = build(sim, ScenarioSpec("t", shape))
         snd, _ = tcp_pair(sim, d.net.node("s0"), d.net.node("d0"), "f",
                           max_cwnd=30.0)  # window-limited: queue never fills
         snd.start()
@@ -43,7 +54,8 @@ class TestCleanPath:
 
     def test_slow_start_doubles_window(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=50e6, bottleneck_delay=0.05)
+        shape = dumbbell_spec(1, bottleneck_bps=50e6, bottleneck_delay=0.05)
+        d = build(sim, ScenarioSpec("t", shape))
         snd, _ = tcp_pair(sim, d.net.node("s0"), d.net.node("d0"), "f")
         snd.start()
         sim.run(until=0.7)  # a few RTTs (~0.1 s each)
@@ -51,7 +63,8 @@ class TestCleanPath:
 
     def test_delivery_in_order_goodput(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=2e6, bottleneck_delay=0.01)
+        shape = dumbbell_spec(1, bottleneck_bps=2e6, bottleneck_delay=0.01)
+        d = build(sim, ScenarioSpec("t", shape))
         rec = FlowRecorder()
         snd, rcv = tcp_pair(sim, d.net.node("s0"), d.net.node("d0"), "f", rec)
         snd.start()
@@ -63,12 +76,11 @@ class TestCleanPath:
 class TestLossRecovery:
     def lossy_run(self, sack, seed=5, loss=0.02, duration=30):
         sim = Simulator(seed=seed)
-        topo = chain(
-            sim, n_hops=1, rate=4e6, delay=0.02,
-            channel_factory=lambda: BernoulliLossChannel(loss, rng=sim.rng("l")),
-        )
+        lossy = ChannelSpec(kind="bernoulli", loss_rate=loss, rng_stream="l")
+        shape = chain_spec(1, rate_bps=4e6, delay=0.02, channel=lossy)
+        net = build(sim, ScenarioSpec("t", shape)).net
         rec = FlowRecorder()
-        snd, rcv = tcp_pair(sim, topo.first, topo.last, "f", rec, sack=sack)
+        snd, rcv = tcp_pair(sim, net.node("h0"), net.node("h1"), "f", rec, sack=sack)
         snd.start()
         sim.run(until=duration)
         return snd, rcv, rec
@@ -102,7 +114,8 @@ class TestLossRecovery:
 class TestReceiver:
     def test_acks_every_segment_by_default(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=2e6, bottleneck_delay=0.01)
+        shape = dumbbell_spec(1, bottleneck_bps=2e6, bottleneck_delay=0.01)
+        d = build(sim, ScenarioSpec("t", shape))
         snd, rcv = tcp_pair(sim, d.net.node("s0"), d.net.node("d0"), "f")
         snd.start()
         sim.run(until=3)
@@ -112,8 +125,11 @@ class TestReceiver:
         sim = Simulator(seed=1)
         # window-limited so the path stays loss-free: every segment
         # arrives in order and only the every-2nd rule generates ACKs
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=2e6, bottleneck_delay=0.01,
-                     bottleneck_queue_factory=lambda: DropTailQueue(capacity_packets=500))
+        shape = dumbbell_spec(
+            1, bottleneck_bps=2e6, bottleneck_delay=0.01,
+            bottleneck_queue=QueueSpec(capacity_packets=500),
+        )
+        d = build(sim, ScenarioSpec("t", shape))
         snd = TcpSender(sim, dst="d0", max_cwnd=10.0).attach(d.net.node("s0"), "f")
         rcv = TcpReceiver(sim, delayed_ack=True).attach(d.net.node("d0"), "f")
         snd.start()
@@ -122,12 +138,11 @@ class TestReceiver:
 
     def test_sack_blocks_in_acks(self):
         sim = Simulator(seed=7)
-        topo = chain(
-            sim, n_hops=1, rate=2e6, delay=0.02,
-            channel_factory=lambda: BernoulliLossChannel(0.05, rng=sim.rng("l")),
-        )
+        lossy = ChannelSpec(kind="bernoulli", loss_rate=0.05, rng_stream="l")
+        shape = chain_spec(1, rate_bps=2e6, delay=0.02, channel=lossy)
+        net = build(sim, ScenarioSpec("t", shape)).net
         rec = FlowRecorder()
-        snd, rcv = tcp_pair(sim, topo.first, topo.last, "f", rec, sack=True)
+        snd, rcv = tcp_pair(sim, net.node("h0"), net.node("h1"), "f", rec, sack=True)
         snd.start()
         sim.run(until=5)
         assert rcv.state.interval_count >= 0  # exercised without crashing

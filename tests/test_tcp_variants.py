@@ -3,24 +3,28 @@
 import pytest
 
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.queues import DropTailQueue
-from repro.sim.topology import chain, dumbbell
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
+from repro.topo import (
+    ChannelSpec,
+    QueueSpec,
+    ScenarioSpec,
+    build,
+    chain_spec,
+    dumbbell_spec,
+)
 
 
 def lossy_run(seed=5, loss=0.03, duration=30, **sender_kw):
     sim = Simulator(seed=seed)
-    topo = chain(
-        sim, n_hops=1, rate=4e6, delay=0.02,
-        channel_factory=lambda: BernoulliLossChannel(loss, rng=sim.rng("l")),
-    )
+    lossy = ChannelSpec(kind="bernoulli", loss_rate=loss, rng_stream="l")
+    shape = chain_spec(1, rate_bps=4e6, delay=0.02, channel=lossy)
+    net = build(sim, ScenarioSpec("t", shape)).net
     rec = FlowRecorder()
-    snd = TcpSender(sim, dst=topo.last.name, **sender_kw).attach(topo.first, "f")
+    snd = TcpSender(sim, dst="h1", **sender_kw).attach(net.node("h0"), "f")
     rcv = TcpReceiver(sim, recorder=rec, sack=sender_kw.get("sack", False)).attach(
-        topo.last, "f"
+        net.node("h1"), "f"
     )
     snd.start()
     sim.run(until=duration)
@@ -40,8 +44,11 @@ class TestVariants:
 
     def test_max_cwnd_clamps_rate(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=8e6, bottleneck_delay=0.05,
-                     bottleneck_queue_factory=lambda: DropTailQueue(capacity_packets=200))
+        shape = dumbbell_spec(
+            1, bottleneck_bps=8e6, bottleneck_delay=0.05,
+            bottleneck_queue=QueueSpec(capacity_packets=200),
+        )
+        d = build(sim, ScenarioSpec("t", shape))
         rec = FlowRecorder()
         snd = TcpSender(sim, dst="d0", max_cwnd=10.0).attach(d.net.node("s0"), "f")
         TcpReceiver(sim, recorder=rec).attach(d.net.node("d0"), "f")

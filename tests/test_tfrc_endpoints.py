@@ -3,12 +3,17 @@
 import pytest
 
 from repro.metrics.recorder import FlowRecorder
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
-from repro.sim.queues import DropTailQueue
-from repro.sim.topology import chain, dumbbell
 from repro.tfrc.receiver import TfrcReceiver
 from repro.tfrc.sender import TfrcSender
+from repro.topo import (
+    ChannelSpec,
+    QueueSpec,
+    ScenarioSpec,
+    build,
+    chain_spec,
+    dumbbell_spec,
+)
 
 
 def tfrc_pair(sim, src, dst, flow="f", recorder=None):
@@ -20,8 +25,11 @@ def tfrc_pair(sim, src, dst, flow="f", recorder=None):
 class TestSteadyState:
     def test_saturates_clean_bottleneck(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=2e6, bottleneck_delay=0.02,
-                     bottleneck_queue_factory=lambda: DropTailQueue(capacity_packets=25))
+        shape = dumbbell_spec(
+            1, bottleneck_bps=2e6, bottleneck_delay=0.02,
+            bottleneck_queue=QueueSpec(capacity_packets=25),
+        )
+        d = build(sim, ScenarioSpec("t", shape))
         rec = FlowRecorder()
         snd, _ = tfrc_pair(sim, d.net.node("s0"), d.net.node("d0"), recorder=rec)
         snd.start()
@@ -33,12 +41,11 @@ class TestSteadyState:
 
         sim = Simulator(seed=3)
         loss = 0.02
-        topo = chain(
-            sim, n_hops=1, rate=10e6, delay=0.05,
-            channel_factory=lambda: BernoulliLossChannel(loss, rng=sim.rng("l")),
-        )
+        lossy = ChannelSpec(kind="bernoulli", loss_rate=loss, rng_stream="l")
+        shape = chain_spec(1, rate_bps=10e6, delay=0.05, channel=lossy)
+        net = build(sim, ScenarioSpec("t", shape)).net
         rec = FlowRecorder()
-        snd, rcv = tfrc_pair(sim, topo.first, topo.last, recorder=rec)
+        snd, rcv = tfrc_pair(sim, net.node("h0"), net.node("h1"), recorder=rec)
         snd.start()
         sim.run(until=60)
         measured = rec.mean_rate(20, 60)  # bytes/s
@@ -50,7 +57,8 @@ class TestSteadyState:
 
     def test_no_feedback_halves_rate(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=2e6, bottleneck_delay=0.02)
+        shape = dumbbell_spec(1, bottleneck_bps=2e6, bottleneck_delay=0.02)
+        d = build(sim, ScenarioSpec("t", shape))
         snd, rcv = tfrc_pair(sim, d.net.node("s0"), d.net.node("d0"))
         snd.start()
         sim.run(until=5)
@@ -72,7 +80,7 @@ class TestSteadyState:
 
     def test_sender_stop_cancels_events(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1)
+        d = build(sim, ScenarioSpec("t", dumbbell_spec(1)))
         snd, rcv = tfrc_pair(sim, d.net.node("s0"), d.net.node("d0"))
         snd.start()
         sim.run(until=2)
@@ -87,7 +95,8 @@ class TestSteadyState:
 class TestFeedback:
     def test_receiver_reports_about_once_per_rtt(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=2e6, bottleneck_delay=0.05)
+        shape = dumbbell_spec(1, bottleneck_bps=2e6, bottleneck_delay=0.05)
+        d = build(sim, ScenarioSpec("t", shape))
         rec = FlowRecorder()
         snd, rcv = tfrc_pair(sim, d.net.node("s0"), d.net.node("d0"), recorder=rec)
         snd.start()
@@ -98,7 +107,7 @@ class TestFeedback:
 
     def test_receiver_quiet_without_data(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1)
+        d = build(sim, ScenarioSpec("t", dumbbell_spec(1)))
         snd, rcv = tfrc_pair(sim, d.net.node("s0"), d.net.node("d0"))
         snd.start()
         sim.run(until=3)
@@ -110,8 +119,10 @@ class TestFeedback:
 
     def test_rtt_estimate_close_to_real(self):
         sim = Simulator(seed=1)
-        d = dumbbell(sim, n_pairs=1, bottleneck_rate=5e6,
-                     bottleneck_delay=0.04, access_delay=0.005)
+        shape = dumbbell_spec(
+            1, bottleneck_bps=5e6, bottleneck_delay=0.04, access_delay=0.005
+        )
+        d = build(sim, ScenarioSpec("t", shape))
         snd, _ = tfrc_pair(sim, d.net.node("s0"), d.net.node("d0"))
         snd.start()
         sim.run(until=10)
@@ -121,11 +132,10 @@ class TestFeedback:
 
     def test_loss_event_rate_reported(self):
         sim = Simulator(seed=2)
-        topo = chain(
-            sim, n_hops=1, rate=2e6, delay=0.02,
-            channel_factory=lambda: BernoulliLossChannel(0.03, rng=sim.rng("l")),
-        )
-        snd, rcv = tfrc_pair(sim, topo.first, topo.last)
+        lossy = ChannelSpec(kind="bernoulli", loss_rate=0.03, rng_stream="l")
+        shape = chain_spec(1, rate_bps=2e6, delay=0.02, channel=lossy)
+        net = build(sim, ScenarioSpec("t", shape)).net
+        snd, rcv = tfrc_pair(sim, net.node("h0"), net.node("h1"))
         snd.start()
         sim.run(until=30)
         assert 0.001 < rcv.loss_event_rate < 0.2

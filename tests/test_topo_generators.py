@@ -4,17 +4,144 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.topo import (
+    ChannelSpec,
+    LinkSpec,
+    MarkerSpec,
+    QueueSpec,
     ScenarioSpec,
+    SlaSpec,
     access_star_endpoints,
     access_star_spec,
     build,
+    chain_spec,
+    dumbbell_spec,
     fat_tree_endpoints,
     fat_tree_spec,
+    hetero_sla_dumbbell_spec,
     isp_chain_endpoints,
     isp_chain_spec,
+    lossy_chain_spec,
     random_access_star_spec,
+    t1_dumbbell_spec,
 )
 from repro.topo.specs import FlowSpec
+
+RIO = QueueSpec(kind="rio")
+
+
+class TestDumbbell:
+    def test_pinned_link_order(self):
+        # bottleneck first, then each pair's two access links
+        assert [(l.src, l.dst) for l in dumbbell_spec(3).links] == [
+            ("left", "right"),
+            ("s0", "left"), ("right", "d0"),
+            ("s1", "left"), ("right", "d1"),
+            ("s2", "left"), ("right", "d2"),
+        ]
+
+    def test_defaults_and_bottleneck_queue(self):
+        bottleneck, access = dumbbell_spec(1).links[:2]
+        assert (bottleneck.rate_bps, bottleneck.delay) == (10e6, 0.02)
+        assert (access.rate_bps, access.delay) == (100e6, 0.001)
+        assert bottleneck.queue == access.queue == QueueSpec()
+        assert dumbbell_spec(1, bottleneck_queue=RIO).links[0].queue == RIO
+
+    def test_routes_cross_the_bottleneck(self):
+        net = build(Simulator(), ScenarioSpec("t", dumbbell_spec(3))).net
+        assert net.link("left", "right").src.name == "left"
+        assert net.node("s0").next_hop["d0"] == "left"
+        assert net.node("left").next_hop["d0"] == "right"
+
+    def test_per_pair_delays(self):
+        spec = dumbbell_spec(2, access_delays=[0.001, 0.1])
+        assert [l.delay for l in spec.links[1:]] == [0.001, 0.001, 0.1, 0.1]
+        net = build(Simulator(), ScenarioSpec("t", spec)).net
+        assert net.path_delay("s1", "d1") > net.path_delay("s0", "d0")
+
+    def test_markers_sit_on_the_source_edge_only(self):
+        marker = MarkerSpec(sla=SlaSpec("f", 1e6))
+        spec = dumbbell_spec(2, access_markers=[None, marker])
+        assert {(l.src, l.dst): l.marker for l in spec.links} == {
+            ("left", "right"): None,
+            ("s0", "left"): None, ("right", "d0"): None,
+            ("s1", "left"): marker, ("right", "d1"): None,
+        }
+
+    def test_rejects_no_pairs(self):
+        with pytest.raises(ValueError, match="n_pairs=0"):
+            dumbbell_spec(0)
+
+    @pytest.mark.parametrize(
+        "argument, value", [("access_delays", [0.1]), ("access_markers", [None])]
+    )
+    def test_rejects_a_per_pair_list_of_the_wrong_length(self, argument, value):
+        # not an IndexError from inside the pair loop
+        with pytest.raises(ValueError, match=f"{argument} has 1 .* n_pairs=2"):
+            dumbbell_spec(2, **{argument: value})
+
+
+class TestChain:
+    def test_pinned_link_order(self):
+        assert [(l.src, l.dst) for l in chain_spec(3).links] == [
+            ("h0", "h1"), ("h1", "h2"), ("h2", "h3"),
+        ]
+
+    def test_defaults(self):
+        spec = chain_spec()
+        assert len(spec.links) == 4
+        assert spec.links[0] == LinkSpec("h0", "h1", 2e6, 0.005)
+
+    def test_queue_and_channel_on_every_hop(self):
+        queue = QueueSpec(capacity_packets=4)
+        channel = ChannelSpec(kind="bernoulli", loss_rate=0.1)
+        spec = chain_spec(2, queue=queue, channel=channel)
+        assert [(l.queue, l.channel) for l in spec.links] == [(queue, channel)] * 2
+
+    def test_rejects_no_hops(self):
+        with pytest.raises(ValueError, match="at least one hop"):
+            chain_spec(0)
+
+
+class TestPresetsComposeTheShapes:
+    """The three presets written out link by link, as they were before
+    they took their links from ``dumbbell_spec`` / ``chain_spec``."""
+
+    def test_t1_dumbbell(self):
+        spec = t1_dumbbell_spec("qtpaf", 4e6, n_cross=1, assured_access_delay=0.05)
+        assured = MarkerSpec(sla=SlaSpec("assured", 4e6, burst_bytes=30_000.0))
+        assert spec.topology.links == (
+            LinkSpec("left", "right", 10e6, 0.02, queue=RIO),
+            LinkSpec("s0", "left", 100e6, 0.05, marker=assured),
+            LinkSpec("right", "d0", 100e6, 0.05),
+            LinkSpec("s1", "left", 100e6, 0.002),
+            LinkSpec("right", "d1", 100e6, 0.002),
+        )
+
+    def test_hetero_sla_dumbbell(self):
+        spec = hetero_sla_dumbbell_spec("gtfrc", (1e6, 2e6), n_cross=1)
+
+        def sla(i, target):
+            return MarkerSpec(sla=SlaSpec(f"af{i}", target, burst_bytes=30_000.0))
+
+        assert spec.topology.links == (
+            LinkSpec("left", "right", 10e6, 0.02, queue=RIO),
+            LinkSpec("s0", "left", 100e6, 0.002, marker=sla(0, 1e6)),
+            LinkSpec("right", "d0", 100e6, 0.002),
+            LinkSpec("s1", "left", 100e6, 0.002, marker=sla(1, 2e6)),
+            LinkSpec("right", "d1", 100e6, 0.002),
+            LinkSpec("s2", "left", 100e6, 0.002),
+            LinkSpec("right", "d2", 100e6, 0.002),
+        )
+
+    def test_lossy_chain(self):
+        spec = lossy_chain_spec("tcp", 0.1, n_hops=2)
+        lossy = ChannelSpec(kind="bernoulli", loss_rate=0.1, rng_stream="wireless")
+        assert spec.topology.links == (
+            LinkSpec("h0", "h1", 2e6, 0.005, channel=lossy),
+            LinkSpec("h1", "h2", 2e6, 0.005, channel=lossy),
+        )
+        with pytest.raises(ValueError, match="at least one hop"):
+            lossy_chain_spec("tcp", 0.1, n_hops=0)
 
 
 class TestAccessStar:

@@ -222,7 +222,7 @@ class TestChannelSpec:
         assert isinstance(forward, BernoulliLossChannel)
         assert isinstance(reverse, BernoulliLossChannel)
         assert forward is not reverse  # fresh instance per direction
-        # both draw from the shared named stream (chain() convention)
+        # both draw from the shared named stream
         assert forward._rng is sim.rng("wireless")
         assert reverse._rng is sim.rng("wireless")
 
@@ -252,24 +252,21 @@ class TestChannelSpec:
         assert reverse.p_g2b == 0.1 and reverse.p_b2g == 0.5
 
     def test_lossy_chain_preset_matches_hand_built_chain(self):
-        # the spec-compiled F2 chain reproduces chain(channel_factory=...)
-        # exactly (same rng stream, channel order and parameters)
-        from repro.netem.channels import BernoulliLossChannel as Bern
-        from repro.sim.topology import chain
-
-        sim_spec = Simulator(seed=5)
-        built = build(sim_spec, lossy_chain_spec("tcp", 0.1, n_hops=2))
-        sim_hand = Simulator(seed=5)
-        rng = sim_hand.rng("wireless")
-        topo = chain(
-            sim_hand, n_hops=2, rate=2e6, delay=0.005,
-            channel_factory=lambda: Bern(0.1, rng=rng),
-        )
-        for i in range(2):
-            spec_ch = built.link(f"h{i}", f"h{i + 1}").channel
-            hand_ch = topo.hops[i].channel
-            assert type(spec_ch) is type(hand_ch)
-            assert spec_ch.loss_rate == hand_ch.loss_rate
+        # the layout the F2 scaffold used to wire by hand: one Bernoulli
+        # channel of the given rate per link direction, hop by hop,
+        # every one drawing from the shared "wireless" stream
+        sim = Simulator(seed=5)
+        built = build(sim, lossy_chain_spec("tcp", 0.1, n_hops=2))
+        links = built.net.links
+        assert [(link.src.name, link.dst.name) for link in links] == [
+            ("h0", "h1"), ("h1", "h0"), ("h1", "h2"), ("h2", "h1"),
+        ]
+        channels = [link.channel for link in links]
+        assert len(set(map(id, channels))) == 4  # one instance per direction
+        for channel in channels:
+            assert type(channel) is BernoulliLossChannel
+            assert channel.loss_rate == 0.1
+            assert channel._rng is sim.rng("wireless")
 
     def test_lossy_chain_clean_path_has_no_channels(self):
         sim = Simulator(seed=0)

@@ -1,4 +1,4 @@
-"""Unit tests for nodes, links, routing and topology builders."""
+"""Unit tests for nodes, links and routing (shape tests: test_topo_generators)."""
 
 import pytest
 
@@ -6,7 +6,8 @@ from repro.sim.engine import Simulator
 from repro.sim.node import Agent, Node, RoutingError
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
-from repro.sim.topology import Network, chain, dumbbell, star
+from repro.sim.topology import Network
+from repro.topo import LinkSpec, ScenarioSpec, TopologySpec, build, chain_spec
 
 
 class Sink(Agent):
@@ -22,6 +23,17 @@ class Sink(Agent):
 
 def make_pkt(dst, flow="f", size=1000):
     return Packet(src="a", dst=dst, flow_id=flow, size=size)
+
+
+def chain_net(sim, n_hops, **shape):
+    return build(sim, ScenarioSpec("chain", chain_spec(n_hops, **shape))).net
+
+
+def star_net(sim, n_leaves, rate=2e6, delay=0.01):
+    spokes = tuple(
+        LinkSpec("hub", f"m{i}", rate, delay) for i in range(n_leaves)
+    )
+    return build(sim, ScenarioSpec("star", TopologySpec(spokes))).net
 
 
 class TestLinkDelivery:
@@ -104,9 +116,9 @@ class TestLinkDelivery:
 class TestRouting:
     def test_multi_hop_forwarding(self):
         sim = Simulator()
-        topo = chain(sim, n_hops=3, rate=1e6, delay=0.01)
-        sink = Sink(sim).attach(topo.last, "f")
-        topo.first.send(Packet(src="h0", dst=topo.last.name, flow_id="f", size=100))
+        net = chain_net(sim, 3, rate_bps=1e6, delay=0.01)
+        sink = Sink(sim).attach(net.node("h3"), "f")
+        net.node("h0").send(Packet(src="h0", dst="h3", flow_id="f", size=100))
         sim.run()
         assert len(sink.got) == 1
         assert sink.got[0][1].hops == 3
@@ -123,8 +135,8 @@ class TestRouting:
 
     def test_path_delay(self):
         sim = Simulator()
-        topo = chain(sim, n_hops=4, rate=1e6, delay=0.01)
-        assert topo.net.path_delay("h0", "h4") == pytest.approx(0.04)
+        net = chain_net(sim, 4, rate_bps=1e6, delay=0.01)
+        assert net.path_delay("h0", "h4") == pytest.approx(0.04)
 
     def test_no_route_raises(self):
         sim = Simulator()
@@ -172,41 +184,9 @@ class TestAgentBinding:
         assert node.agent_for("f") is sink2
 
 
-class TestBuilders:
-    def test_dumbbell_structure(self):
-        sim = Simulator()
-        d = dumbbell(sim, n_pairs=3)
-        assert len(d.sources) == 3 and len(d.sinks) == 3
-        assert d.bottleneck.src.name == "left"
-        # each source routes to its sink via the bottleneck
-        assert d.net.node("s0").next_hop["d0"] == "left"
-        assert d.net.node("left").next_hop["d0"] == "right"
-
-    def test_dumbbell_per_pair_delays(self):
-        sim = Simulator()
-        d = dumbbell(sim, n_pairs=2, access_delays=[0.001, 0.1])
-        assert d.net.path_delay("s1", "d1") > d.net.path_delay("s0", "d0")
-
-    def test_chain_structure(self):
-        sim = Simulator()
-        c = chain(sim, n_hops=5)
-        assert c.first.name == "h0" and c.last.name == "h5"
-        assert len(c.hops) == 5
-
-    def test_chain_validates(self):
-        with pytest.raises(ValueError):
-            chain(Simulator(), n_hops=0)
-
-    def test_star_structure(self):
-        sim = Simulator()
-        s = star(Simulator(), n_leaves=4)
-        assert len(s.leaves) == 4
-        assert s.hub.name == "hub"
-
-
 class TestChainRouting:
     def test_route_tables_follow_the_line(self):
-        c = chain(Simulator(), n_hops=4)
+        net = chain_net(Simulator(), 4)
         # every node forwards toward the destination along the line,
         # one hop at a time, in both directions
         for i in range(5):
@@ -214,60 +194,61 @@ class TestChainRouting:
                 if i == j:
                     continue
                 expected = f"h{i + 1}" if j > i else f"h{i - 1}"
-                assert c.net.node(f"h{i}").next_hop[f"h{j}"] == expected
+                assert net.node(f"h{i}").next_hop[f"h{j}"] == expected
 
     def test_duplex_links_are_symmetric(self):
-        c = chain(Simulator(), n_hops=3, rate=2e6, delay=0.007)
+        net = chain_net(Simulator(), 3, rate_bps=2e6, delay=0.007)
         for i in range(3):
-            fwd = c.net.link(f"h{i}", f"h{i + 1}")
-            back = c.net.link(f"h{i + 1}", f"h{i}")
+            fwd = net.link(f"h{i}", f"h{i + 1}")
+            back = net.link(f"h{i + 1}", f"h{i}")
             assert fwd.rate_bps == back.rate_bps == 2e6
             assert fwd.delay == back.delay == 0.007
             assert fwd.queue is not back.queue  # independent queues
 
     def test_end_to_end_path_delay_symmetric(self):
-        c = chain(Simulator(), n_hops=3, delay=0.01)
-        assert c.net.path_delay("h0", "h3") == pytest.approx(0.03)
-        assert c.net.path_delay("h3", "h0") == pytest.approx(0.03)
+        net = chain_net(Simulator(), 3, delay=0.01)
+        assert net.path_delay("h0", "h3") == pytest.approx(0.03)
+        assert net.path_delay("h3", "h0") == pytest.approx(0.03)
 
     def test_hops_are_the_forward_links(self):
-        c = chain(Simulator(), n_hops=3)
-        assert [(l.src.name, l.dst.name) for l in c.hops] == [
+        net = chain_net(Simulator(), 3)
+        hops = [net.link(f"h{i}", f"h{i + 1}") for i in range(3)]
+        assert [(l.src.name, l.dst.name) for l in hops] == [
             ("h0", "h1"), ("h1", "h2"), ("h2", "h3")
         ]
 
 
 class TestStarRouting:
     def test_leaf_to_leaf_routes_via_hub(self):
-        s = star(Simulator(), n_leaves=4)
+        net = star_net(Simulator(), 4)
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert s.net.node(f"m{i}").next_hop[f"m{j}"] == "hub"
+                    assert net.node(f"m{i}").next_hop[f"m{j}"] == "hub"
 
     def test_hub_routes_directly_to_each_leaf(self):
-        s = star(Simulator(), n_leaves=3)
+        net = star_net(Simulator(), 3)
         for i in range(3):
-            assert s.net.node("hub").next_hop[f"m{i}"] == f"m{i}"
+            assert net.node("hub").next_hop[f"m{i}"] == f"m{i}"
 
     def test_duplex_spokes_are_symmetric(self):
-        s = star(Simulator(), n_leaves=3, rate=1e6, delay=0.02)
+        net = star_net(Simulator(), 3, rate=1e6, delay=0.02)
         for i in range(3):
-            out = s.net.link("hub", f"m{i}")
-            back = s.net.link(f"m{i}", "hub")
+            out = net.link("hub", f"m{i}")
+            back = net.link(f"m{i}", "hub")
             assert out.rate_bps == back.rate_bps == 1e6
             assert out.delay == back.delay == 0.02
             assert out.queue is not back.queue
 
     def test_leaf_to_leaf_delay_is_two_spokes(self):
-        s = star(Simulator(), n_leaves=2, delay=0.02)
-        assert s.net.path_delay("m0", "m1") == pytest.approx(0.04)
+        net = star_net(Simulator(), 2, delay=0.02)
+        assert net.path_delay("m0", "m1") == pytest.approx(0.04)
 
     def test_leaf_to_leaf_forwarding_delivers(self):
         sim = Simulator()
-        s = star(sim, n_leaves=3)
-        sink = Sink(sim).attach(s.net.node("m2"), "f")
-        s.net.node("m0").send(
+        net = star_net(sim, 3)
+        sink = Sink(sim).attach(net.node("m2"), "f")
+        net.node("m0").send(
             Packet(src="m0", dst="m2", flow_id="f", size=100)
         )
         sim.run()
@@ -286,12 +267,13 @@ class TestHopCost:
 
         def sim_frames(n_hops):
             sim = Simulator()
-            path = chain(sim, n_hops=n_hops, rate=1e6, delay=0.001)
-            sink = Sink(sim).attach(path.last, "f")
+            net = chain_net(sim, n_hops, rate_bps=1e6, delay=0.001)
+            first, last = net.node("h0"), net.node(f"h{n_hops}")
+            sink = Sink(sim).attach(last, "f")
             for i in range(packets):
                 # spaced out: every packet finds every link idle, the case
                 # with the most frames (the link also learns its queue is empty)
-                sim.schedule(0.1 * i, path.first.send, make_pkt(path.last.name))
+                sim.schedule(0.1 * i, first.send, make_pkt(last.name))
             frames = count_frames("/repro/sim/", sim.run)
             assert len(sink.got) == packets
             return frames

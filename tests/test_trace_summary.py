@@ -1,21 +1,29 @@
 """Tests for packet tracing and flow summaries."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.metrics.cost import CostMeter
 from repro.metrics.recorder import FlowRecorder
 from repro.metrics.summary import summarize_flow
-from repro.netem.channels import BernoulliLossChannel
 from repro.sim.engine import Simulator
 from repro.sim.node import Agent
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
-from repro.sim.topology import Network, chain
+from repro.sim.topology import Network
 from repro.sim.trace import PacketTracer, TraceEvent
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
+from repro.topo import (
+    ChannelSpec,
+    QueueSpec,
+    ScenarioSpec,
+    TopologySpec,
+    build,
+    chain_spec,
+)
 
 
 class Sink(Agent):
@@ -115,19 +123,31 @@ class TestTracerSeesWhatTheLinkCounts:
     @staticmethod
     def lossy_three_hop_run(traced):
         sim = Simulator(seed=3)
-        hop_rngs = iter(sim.rng(f"loss-{i}") for i in range(6))
-        path = chain(
-            sim, n_hops=3, rate=1e6, delay=0.005,
-            queue_factory=lambda: DropTailQueue(capacity_packets=4),
-            channel_factory=lambda: BernoulliLossChannel(0.02, next(hop_rngs)),
+        def lossy(stream):
+            return ChannelSpec(kind="bernoulli", loss_rate=0.02, rng_stream=stream)
+
+        # an independent loss stream per link direction
+        hops = chain_spec(
+            3, rate_bps=1e6, delay=0.005, queue=QueueSpec(capacity_packets=4)
+        ).links
+        shape = TopologySpec(
+            tuple(
+                replace(
+                    hop,
+                    channel=lossy(f"loss-{2 * i}"),
+                    reverse_channel=lossy(f"loss-{2 * i + 1}"),
+                )
+                for i, hop in enumerate(hops)
+            )
         )
+        net = build(sim, ScenarioSpec("t", shape)).net
         tracer = PacketTracer(max_records=1_000_000) if traced else None
         if traced:
-            for link in path.net.links:
+            for link in net.links:
                 tracer.attach(link)
         recorder = FlowRecorder()
-        sender = TcpSender(sim, dst=path.last.name, sack=True).attach(path.first, "f")
-        TcpReceiver(sim, recorder=recorder, sack=True).attach(path.last, "f")
+        sender = TcpSender(sim, dst="h3", sack=True).attach(net.node("h0"), "f")
+        TcpReceiver(sim, recorder=recorder, sack=True).attach(net.node("h3"), "f")
         sender.start()
         sim.run(until=8.0)
         outcome = (
@@ -135,7 +155,7 @@ class TestTracerSeesWhatTheLinkCounts:
             sender.sent_segments, sender.retransmissions, sender.timeouts,
             sim.events_processed,
         )
-        return outcome, path.net.links, tracer
+        return outcome, net.links, tracer
 
     def test_event_counts_equal_link_counters_and_results_unchanged(self):
         plain, _, _ = self.lossy_three_hop_run(traced=False)
