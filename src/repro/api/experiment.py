@@ -144,6 +144,8 @@ class Experiment:
 
     def workers(self, n: Optional[int]) -> "Experiment":
         """Worker processes: 1 = in-process serial, ``None``/0 = one per CPU."""
+        if n is not None and n < 0:
+            raise ValueError(f"workers must be >= 0 or None, got {n}")
         self._workers = None if not n else int(n)
         return self
 

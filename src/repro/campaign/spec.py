@@ -17,7 +17,6 @@ guarantee), so it is not part of what makes two campaigns "the same".
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -183,6 +182,8 @@ class CampaignSpec:
 
     def spec_hash(self) -> str:
         """Digest of the campaign identity (stable across runs/hosts)."""
+        import hashlib
+
         payload = json.dumps(
             {"name": self.name, "jobs": [job.identity() for job in self.jobs]},
             sort_keys=True,

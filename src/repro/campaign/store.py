@@ -39,7 +39,6 @@ sound.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -69,6 +68,8 @@ QUARANTINE_DIR = "quarantine"
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -52,7 +52,6 @@ parent::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -174,6 +173,8 @@ class FaultPlan:
         self, index: int, scenario: str, params: Mapping[str, Any], attempt: int
     ) -> float:
         """Deterministic uniform [0, 1) draw for one (rule, cell, attempt)."""
+        import hashlib
+
         payload = json.dumps(
             [self.seed, index, scenario, dict(params), attempt],
             sort_keys=True,

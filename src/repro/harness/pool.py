@@ -36,15 +36,16 @@ freed workers are refilled — the runner owns grid ordering.
 The parent is event-driven: it sleeps in ``connection.wait`` until the
 next thing it can act on — a worker reply, the earliest busy-worker
 deadline, or a backoff wake-up with a worker idle to take it.
+
+Import rule: no module-scope ``import hashlib`` / ``sqlite3`` /
+``multiprocessing`` under ``src/repro`` — import where used; a process
+that only simulates must not load them (``tests/test_import_order.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
-import multiprocessing
-import multiprocessing.connection
 import threading
 import time
 import traceback
@@ -142,6 +143,8 @@ class _TaskState:
 
 def _jitter(task_id: int, attempt: int) -> float:
     """Deterministic backoff jitter factor in [0.5, 1.5)."""
+    import hashlib
+
     digest = hashlib.sha256(f"{task_id}:{attempt}".encode()).digest()
     return 0.5 + int.from_bytes(digest[:8], "big") / 2**64
 
@@ -157,6 +160,8 @@ class ResilientPool:
     ):
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
+        import multiprocessing
+
         self._ctx = multiprocessing.get_context()
         self._fn = fn
         self._on_repair = on_repair
@@ -301,6 +306,10 @@ class ResilientPool:
         backoff_cap,
         observer=None,
     ) -> None:
+        # the module, not the function: callers patch its ``wait``
+        # attribute after the warm pool exists (perf/, tests/test_pool.py)
+        import multiprocessing.connection
+
         states: Dict[int, _TaskState] = {
             task_id: _TaskState(task=task) for task_id, task in tasks
         }

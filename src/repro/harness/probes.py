@@ -28,7 +28,6 @@ print(json.dumps(capture_goldens(), indent=2, sort_keys=True))" \
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List
 
 from repro.sim.engine import Simulator
@@ -42,6 +41,8 @@ def engine_trace_probe(seed: int = 0, n_events: int = 4000) -> Dict[str, object]
     in order.  Any change to event ordering, tie-breaking or
     cancellation semantics changes the digest.
     """
+    import hashlib
+
     sim = Simulator(seed=seed)
     rng = sim.rng("probe")
     digest = hashlib.sha256()

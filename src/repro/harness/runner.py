@@ -73,19 +73,21 @@ Determinism guarantees (unchanged from the seed):
 The cache key includes a hash of the ``repro`` package sources
 (``code_version``), so editing any simulator code transparently
 invalidates stale results.
+
+Import rule: no module-scope ``import hashlib`` / ``sqlite3`` /
+``multiprocessing`` under ``src/repro`` — import where used; a process
+that only simulates must not load them (``tests/test_import_order.py``).
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
-import hashlib
 import itertools
 import json
 import os
 import pickle
 import signal
-import sqlite3
 import threading
 import time
 import traceback as traceback_mod
@@ -286,6 +288,8 @@ def code_version() -> str:
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
+        import hashlib
+
         import repro
 
         root = Path(repro.__file__).resolve().parent
@@ -305,6 +309,8 @@ def cache_key(scenario: str, params: Mapping[str, Any]) -> str:
     Parameters are JSON-canonicalized (sorted keys) before hashing so
     dict ordering never matters; both cache backends share this key.
     """
+    import hashlib
+
     payload = json.dumps(
         {
             "scenario": scenario,
@@ -465,6 +471,8 @@ class SqliteSweepCache:
         locked/busy database is retried; anything else (corrupt file,
         bad schema, missing permissions) propagates immediately.
         """
+        import sqlite3
+
         delay = self.LOCK_BACKOFF
         for attempt in range(self.LOCK_RETRIES):
             try:
@@ -482,6 +490,8 @@ class SqliteSweepCache:
         (``sqlite3``'s own context manager only commits/rolls back — it
         does not close, so handles would pile up over a large sweep.)
         """
+        import sqlite3
+
         if not self._schema_ready and self.path.parent:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         with contextlib.closing(
@@ -644,6 +654,8 @@ class SweepManifest:
     @staticmethod
     def grid_hash_of(scenario: str, run_params: Sequence[Mapping[str, Any]]) -> str:
         """Identity of one sweep: scenario + exact run list + code version."""
+        import hashlib
+
         payload = json.dumps(
             [scenario, list(run_params), code_version()],
             sort_keys=True,
@@ -1014,8 +1026,8 @@ def run_matrix(
         random streams derive from.
     workers:
         Process count; ``None`` means ``os.cpu_count()``.  ``1`` (the
-        default) runs in-process with no pool overhead.  Results are
-        identical for every worker count.
+        default) runs in-process with no pool overhead; less than 1 is
+        a ``ValueError``.  Results are identical for every worker count.
     cache_dir:
         Directory for the on-disk memo; ``None`` disables caching.
         When caching is enabled, ``REPRO_CACHE=sqlite:<path>`` in the
@@ -1081,6 +1093,8 @@ def run_matrix(
         points = [
             {**point, "seed": seed} for point in points for seed in seed_list
         ]
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1 or None, got {workers}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     if run_timeout is not None and run_timeout <= 0:
@@ -1181,7 +1195,7 @@ def _run_cells(
         )
         return
 
-    state, transient = _lease_pool(max(n_workers, 1))
+    state, transient = _lease_pool(n_workers)
 
     def on_outcome(outcome: TaskOutcome) -> None:
         index = outcome.task_id

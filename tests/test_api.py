@@ -48,6 +48,13 @@ class TestExperimentBuilder:
         with pytest.raises(ValueError, match="seed"):
             Experiment("lossy_path").seeds(())
 
+    def test_negative_workers_rejected_and_zero_means_one_per_cpu(self):
+        with pytest.raises(ValueError, match="workers .* got -3"):
+            Experiment("lossy_path").workers(-3)
+        for per_cpu in (None, 0):
+            described = Experiment("lossy_path").workers(per_cpu).describe()
+            assert described["workers"] is None
+
     def test_from_spec(self):
         spec = get_scenario("negotiation")
         experiment = Experiment.from_spec(spec)

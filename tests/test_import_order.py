@@ -25,7 +25,12 @@ import repro
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 MODULES = sorted(
     f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
-) + ["repro.traffic.population", "repro.fluid.derive"]
+) + [
+    "repro.traffic.population", "repro.fluid.derive",
+    # modules that import hashlib / sqlite3 / multiprocessing where used
+    "repro.harness.runner", "repro.harness.pool", "repro.harness.faults",
+    "repro.harness.cli", "repro.campaign.store",
+]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -85,19 +90,21 @@ def test_fluid_package_still_serves_the_derive_names():
         repro.fluid.no_such_name
 
 
+def modules_after(statement):
+    """``sys.modules`` of a fresh interpreter that ran ``statement``."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"{statement}; import sys; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_running_the_simulator_loads_only_repro_and_the_stdlib():
     # every benchmark subprocess, CLI call and spawned sweep worker pays
     # for whatever these imports pull in before it simulates anything
-    def modules_after(statement):
-        done = subprocess.run(
-            [sys.executable, "-c",
-             f"{statement}; import sys; print(*sorted(sys.modules))"],
-            env={**os.environ, "PYTHONPATH": SRC},
-            capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        return done.stdout.split()
-
     def top_level(modules):
         return {name.partition(".")[0] for name in modules}
 
@@ -113,6 +120,40 @@ def test_running_the_simulator_loads_only_repro_and_the_stdlib():
         - {"repro", "__mp_main__"}
     )
     assert sorted(third_party) == []
-    # a count, not a timing: 245 measured (583 while routing imported
+    # a count, not a timing: 212 measured (245 with hashlib, sqlite3 and
+    # multiprocessing at module scope, 583 while routing imported
     # networkx), so a heavyweight stdlib import shows up here too
-    assert len(loaded) <= 300
+    assert len(loaded) <= 222
+
+
+#: What the sweep fabric needs and a simulation never calls: OpenSSL's
+#: libcrypto behind hashlib, sqlite3, and multiprocessing with the
+#: modules it drags in.  6 MB resident when imported at module scope.
+SWEEP_ONLY = {
+    "hashlib", "_hashlib", "sqlite3", "_sqlite3", "multiprocessing",
+    "socket", "_socket", "selectors", "subprocess", "tempfile", "shutil",
+    "bz2", "lzma",
+}
+
+SIMULATE = (
+    "import repro.harness.runner, repro.harness.pool, repro.harness.faults,"
+    " repro.api; from repro.harness.registry import get_scenario;"
+    ' get_scenario("af_assurance").fn("qtpaf", target_bps=4e6, n_cross=1,'
+    " duration=0.5, warmup=0.1, seed=1)"
+)
+
+
+def test_footprint_a_process_that_simulates_loads_no_sweep_dependency():
+    # whatever this interpreter's own stdlib pulls in (a build whose
+    # random falls back to hashlib) is not ours to fail on
+    anyway = set(modules_after(
+        "import random, dataclasses, json, pickle, pathlib"
+    ))
+    assert SWEEP_ONLY & (set(modules_after(SIMULATE)) - anyway) == set()
+
+
+def test_footprint_the_first_cache_key_is_what_loads_hashlib():
+    assert "hashlib" in modules_after(
+        "from repro.harness.runner import cache_key;"
+        ' cache_key("af_assurance", {"seed": 1})'
+    )

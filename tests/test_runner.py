@@ -1,7 +1,13 @@
 """Tests for the scenario registry, sweep runner, cache and CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.harness.cli import main as cli_main
 from repro.harness.registry import get_scenario, list_scenarios
 from repro.harness.runner import (
@@ -196,6 +202,11 @@ class TestRunMatrix:
         # raise upfront, not TypeError inside a worker
         with pytest.raises(ValueError, match="target_bps"):
             run_matrix("af_assurance", {"protocol": ("tcp",)}, base=AF_BASE)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonsense_worker_count_fails_before_running(self, workers):
+        with pytest.raises(ValueError, match=f"workers .* got {workers}$"):
+            run_matrix("af_assurance", AF_GRID, base=AF_BASE, workers=workers)
 
     def test_seeds_conflicting_with_seed_grid_axis_rejected(self):
         with pytest.raises(ValueError, match="already sweeps 'seed'"):
@@ -468,6 +479,19 @@ class TestCli:
         assert code == 2
         assert "missing required parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, env", [(["--workers", "-3"], ""), ([], "-3")])
+    def test_run_negative_workers_errors_before_dispatch(
+            self, capsys, monkeypatch, flag, env):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", env)
+        code = cli_main(
+            ["run", "af_assurance", "--sweep", "protocol=tcp",
+             "--set", "target_bps=1e6", "--no-cache"] + flag
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: workers") and "-3" in captured.err
+        assert captured.out == ""  # no cell ran, no progress line
+
     def test_bench_is_not_a_subcommand(self, capsys):
         # speed is measured by perf/run.py alone; the old entry point
         # must fail loudly, not fall through to the help text
@@ -579,6 +603,55 @@ class TestWarmPool:
         clone = pickle.loads(pickle.dumps(record))
         assert clone == record
         assert clone.elapsed == 0.25 and clone.worker_pid == 77
+
+
+#: ``_execute_run`` promises to work "in spawned workers (where the
+#: registry starts empty)".  Run as a script so the session's own start
+#: method is untouched; spawn re-imports ``__main__``, hence the guard.
+SPAWN_SCRIPT = """
+import multiprocessing
+import os
+
+from repro.harness.runner import (
+    run_matrix, shutdown_warm_pool, warm_pool_stats,
+)
+
+
+def sweep(workers):
+    return run_matrix(
+        "lossy_path", {"protocol": ("tcp", "tfrc")},
+        base=dict(loss_rate=0.02, duration=1.0, warmup=0.2),
+        seeds=range(2), workers=workers, cache_dir=None,
+    )
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    serial, spawned = sweep(1), sweep(2)
+    assert len(spawned) == 4
+    assert [r.result for r in spawned] == [r.result for r in serial]
+    pids = {r.worker_pid for r in spawned}
+    assert len(pids) == 2 and os.getpid() not in pids, pids
+    assert warm_pool_stats()["created"] == 1
+    workers = multiprocessing.active_children()
+    assert {w.pid for w in workers} == pids
+    shutdown_warm_pool()
+    assert not any(w.is_alive() for w in workers)
+    print("spawn sweep ok")
+"""
+
+
+def test_spawn_start_method_matches_serial_and_shuts_down(tmp_path):
+    script = tmp_path / "spawn_sweep.py"
+    script.write_text(SPAWN_SCRIPT)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, str(script)], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "spawn sweep ok"
+    assert done.stderr == ""
 
 
 def _stress_store(args):

@@ -1,13 +1,11 @@
-"""Tests for packet tracing and flow summaries."""
+"""Tests for packet tracing."""
 
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.metrics.cost import CostMeter
 from repro.metrics.recorder import FlowRecorder
-from repro.metrics.summary import summarize_flow
 from repro.sim.engine import Simulator
 from repro.sim.node import Agent
 from repro.sim.packet import Packet
@@ -265,44 +263,6 @@ class TestRingCompactionEdges:
         link.sim.now += 2.5
         tracer._record(link, packet2, TraceEvent.DELIVER)
         assert tracer.one_way_delays("f") == [pytest.approx(2.5)]
-
-
-class TestFlowSummary:
-    def make_recorder(self):
-        rec = FlowRecorder("flow")
-        for i in range(1, 21):
-            t = i * 0.5
-            rec.record(
-                t, Packet(src="a", dst="b", flow_id="f", size=1000, created_at=t - 0.05)
-            )
-        return rec
-
-    def test_summary_values(self):
-        rec = self.make_recorder()
-        s = summarize_flow(rec, warmup=2.0, end=10.0)
-        assert s.mean_rate_bps == pytest.approx(16 * 1000 * 8 / 8.0)
-        assert s.delivered_packets == 16
-        assert s.mean_latency == pytest.approx(0.05)
-        assert s.p95_latency == pytest.approx(0.05)
-
-    def test_summary_with_meter(self):
-        rec = self.make_recorder()
-        meter = CostMeter()
-        meter.charge(160)
-        meter.set_resident(500)
-        s = summarize_flow(rec, warmup=2.0, end=10.0, meter=meter)
-        assert s.rx_ops_per_packet == pytest.approx(10.0)
-        assert s.rx_peak_bytes == 500
-
-    def test_describe_line(self):
-        rec = self.make_recorder()
-        s = summarize_flow(rec, warmup=2.0, end=10.0)
-        assert "Mbit/s" in s.describe()
-
-    def test_validates_window(self):
-        rec = self.make_recorder()
-        with pytest.raises(ValueError):
-            summarize_flow(rec, warmup=5.0, end=5.0)
 
 
 class TestOscillationDamping:
