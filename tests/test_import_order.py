@@ -90,10 +90,15 @@ def test_fluid_package_still_serves_the_derive_names():
         repro.fluid.no_such_name
 
 
-def modules_after(statement):
-    """``sys.modules`` of a fresh interpreter that ran ``statement``."""
+def modules_after(statement, *flags):
+    """``sys.modules`` of a fresh interpreter that ran ``statement``.
+
+    ``flags`` go to the interpreter before ``-c``: ``-S`` keeps ``site``
+    and the ``.pth`` hooks of the interpreter's site-packages out of the
+    count, so what is counted is what the statement imports.
+    """
     done = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, *flags, "-c",
          f"{statement}; import sys; print(*sorted(sys.modules))"],
         env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True, timeout=60,
@@ -109,7 +114,8 @@ def test_running_the_simulator_loads_only_repro_and_the_stdlib():
         return {name.partition(".")[0] for name in modules}
 
     loaded = modules_after(
-        "import repro.harness.runner, repro.api, repro.campaign, repro.obs"
+        "import repro.harness.runner, repro.api, repro.campaign, repro.obs",
+        "-S",
     )
     third_party = (
         top_level(loaded)
@@ -120,10 +126,15 @@ def test_running_the_simulator_loads_only_repro_and_the_stdlib():
         - {"repro", "__mp_main__"}
     )
     assert sorted(third_party) == []
-    # a count, not a timing: 212 measured (245 with hashlib, sqlite3 and
-    # multiprocessing at module scope, 583 while routing imported
-    # networkx), so a heavyweight stdlib import shows up here too
-    assert len(loaded) <= 222
+    # a count, not a timing, taken under -S so that a .pth hook in the
+    # interpreter's site-packages (one that imports certifi adds 22 modules)
+    # cannot change it: 209 measured on python 3.11.7, 211 on 3.10.13,
+    # 210 on 3.12.1 (226 with hashlib, sqlite3 and multiprocessing at
+    # module scope, 583 while routing imported networkx), so a
+    # heavyweight stdlib import shows up here too.  The bound is the
+    # earlier one counted with site, 222, less the three modules -S
+    # does not load: site, _sitebuiltins and _distutils_hack.
+    assert len(loaded) <= 219
 
 
 #: What the sweep fabric needs and a simulation never calls: OpenSSL's
@@ -145,11 +156,13 @@ SIMULATE = (
 
 def test_footprint_a_process_that_simulates_loads_no_sweep_dependency():
     # whatever this interpreter's own stdlib pulls in (a build whose
-    # random falls back to hashlib) is not ours to fail on
+    # random falls back to hashlib) is not ours to fail on; -S keeps a
+    # site .pth hook from putting tempfile, shutil, bz2 or lzma in
+    # `anyway`, where they would be subtracted unseen
     anyway = set(modules_after(
-        "import random, dataclasses, json, pickle, pathlib"
+        "import random, dataclasses, json, pickle, pathlib", "-S"
     ))
-    assert SWEEP_ONLY & (set(modules_after(SIMULATE)) - anyway) == set()
+    assert SWEEP_ONLY & (set(modules_after(SIMULATE, "-S")) - anyway) == set()
 
 
 def test_footprint_the_first_cache_key_is_what_loads_hashlib():
