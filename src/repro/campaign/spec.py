@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.experiment import Experiment
+from repro.ioutil import sha256
 
 __all__ = ["CampaignError", "CampaignSpec", "JobSpec", "load_spec"]
 
@@ -182,14 +183,12 @@ class CampaignSpec:
 
     def spec_hash(self) -> str:
         """Digest of the campaign identity (stable across runs/hosts)."""
-        import hashlib
-
         payload = json.dumps(
             {"name": self.name, "jobs": [job.identity() for job in self.jobs]},
             sort_keys=True,
             default=repr,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return sha256(payload.encode()).hexdigest()[:16]
 
     def to_json(self) -> Dict[str, Any]:
         return {

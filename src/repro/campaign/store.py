@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.ioutil import atomic_write_json, open_append, read_jsonl
+from repro.ioutil import atomic_write_json, open_append, read_jsonl, sha256
 from repro.campaign.spec import CampaignError, CampaignSpec
 
 __all__ = [
@@ -68,9 +68,7 @@ QUARANTINE_DIR = "quarantine"
 
 
 def _sha256_file(path: Path) -> str:
-    import hashlib
-
-    digest = hashlib.sha256()
+    digest = sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)

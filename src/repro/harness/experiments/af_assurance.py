@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
+from repro.metrics.stats import fold_sum
 from repro.sim.engine import Simulator
 from repro.sim.packet import Color
 from repro.topo import build, t1_dumbbell_spec
@@ -98,7 +99,7 @@ def af_dumbbell_scenario(
         achieved_bps=built.recorder("assured").mean_rate_bps(warmup, duration),
         green_drop_ratio=stats.color_drop_ratio(Color.GREEN),
         out_drop_ratio=out_drops / out_offered if out_offered else 0.0,
-        cross_total_bps=sum(
+        cross_total_bps=fold_sum(
             built.recorder(f"x{i}").mean_rate_bps(warmup, duration)
             for i in range(1, 1 + n_cross)
         ),

@@ -15,6 +15,7 @@ from typing import List
 
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
+from repro.metrics.stats import fold_sum
 from repro.sim.engine import Simulator
 from repro.topo import build, t1_dumbbell_spec
 
@@ -79,6 +80,6 @@ def convergence_scenario(
         target_bps=target_bps,
         min_after_step=min(after),
         time_below_90pct=float(len(below)),  # 1 s bins
-        mean_after_step=sum(after) / len(after),
+        mean_after_step=fold_sum(after) / len(after),
         series_bps=series_bps,
     )

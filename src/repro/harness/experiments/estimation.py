@@ -11,6 +11,7 @@ from repro.core.sender import QtpSender
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
 from repro.metrics.recorder import FlowRecorder
+from repro.metrics.stats import fold_sum
 from repro.sim.engine import Simulator
 from repro.sim.packet import TfrcDataHeader
 from repro.tfrc.loss_history import LossEventEstimator
@@ -99,14 +100,14 @@ def estimation_accuracy_scenario(
     sim.schedule(sample_period, sample)
     sim.run(until=duration)
     steady = [s for s in samples if s[0] >= warmup and s[2] > 0]
-    mean_s = sum(s[1] for s in steady) / len(steady) if steady else 0.0
-    mean_r = sum(s[2] for s in steady) / len(steady) if steady else 0.0
+    mean_s = fold_sum(s[1] for s in steady) / len(steady) if steady else 0.0
+    mean_r = fold_sum(s[2] for s in steady) / len(steady) if steady else 0.0
     errors = [abs(s[1] - s[2]) / s[2] for s in steady]
     return EstimationAccuracyResult(
         loss_rate=loss_rate,
         samples=samples,
         mean_p_sender=mean_s,
         mean_p_shadow=mean_r,
-        mean_abs_rel_error=sum(errors) / len(errors) if errors else 0.0,
+        mean_abs_rel_error=fold_sum(errors) / len(errors) if errors else 0.0,
         goodput_bps=rec.mean_rate_bps(warmup, duration),
     )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
-from repro.metrics.stats import jain_index
+from repro.metrics.stats import fold_sum, jain_index
 from repro.sim.engine import Simulator
 from repro.topo import FlowSpec, QueueSpec, ScenarioSpec, build, dumbbell_spec
 
@@ -50,7 +50,7 @@ def friendliness_scenario(
         built.recorder(f"tcp{i}").mean_rate_bps(warmup, duration)
         for i in range(1, 1 + n_tcp)
     ]
-    tcp_mean = sum(tcp_rates) / len(tcp_rates)
+    tcp_mean = fold_sum(tcp_rates) / len(tcp_rates)
     return FriendlinessResult(
         n_tcp=n_tcp,
         tfrc_bps=tfrc_bps,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
-from repro.metrics.stats import jain_index
+from repro.metrics.stats import fold_sum, jain_index
 from repro.sim.engine import Simulator
 from repro.topo import build, hetero_sla_dumbbell_spec
 
@@ -95,13 +95,13 @@ def hetero_sla_scenario(
     return HeteroSlaResult(
         protocol=protocol,
         targets_mbps=targets_mbps,
-        total_target_bps=sum(targets),
-        total_assured_bps=sum(achieved),
+        total_target_bps=fold_sum(targets),
+        total_assured_bps=fold_sum(achieved),
         min_ratio=min(ratios),
         max_ratio=max(ratios),
-        mean_ratio=sum(ratios) / len(ratios),
+        mean_ratio=fold_sum(ratios) / len(ratios),
         jain_fairness=jain_index(ratios),
-        cross_total_bps=sum(
+        cross_total_bps=fold_sum(
             built.recorder(f"x{j}").mean_rate_bps(warmup, duration)
             for j in range(1, 1 + n_cross)
         ),

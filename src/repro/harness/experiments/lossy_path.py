@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
+from repro.metrics.stats import fold_sum
 from repro.sim.engine import Simulator
 from repro.topo import build, lossy_chain_spec
 
@@ -76,6 +77,6 @@ def lossy_path_scenario(
     return LossyPathResult(
         protocol=protocol,
         loss_rate=loss_rate,
-        observed_loss_rate=sum(observed) / len(observed) if observed else 0.0,
+        observed_loss_rate=fold_sum(observed) / len(observed) if observed else 0.0,
         goodput_bps=built.recorder("flow").mean_rate_bps(warmup, duration),
     )

@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
+from repro.metrics.stats import fold_sum
 from repro.sim.engine import Simulator
 from repro.sim.packet import Color
 from repro.topo import build, parking_lot_spec
@@ -92,11 +93,11 @@ def parking_lot_scenario(
         hop2_green_drop_ratio=built.queue("r1", "r2").stats.color_drop_ratio(
             Color.GREEN
         ),
-        cross_a_bps=sum(
+        cross_a_bps=fold_sum(
             built.recorder(f"a{i}").mean_rate_bps(warmup, duration)
             for i in range(1, 1 + n_cross_a)
         ),
-        cross_b_bps=sum(
+        cross_b_bps=fold_sum(
             built.recorder(f"b{i}").mean_rate_bps(warmup, duration)
             for i in range(1, 1 + n_cross_b)
         ),

@@ -16,6 +16,7 @@ from repro.core.profile import (
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
 from repro.metrics.recorder import FlowRecorder
+from repro.metrics.stats import fold_sum
 from repro.sim.engine import Simulator
 from repro.topo import ChannelSpec, ScenarioSpec, build, chain_spec
 
@@ -106,7 +107,7 @@ def reliability_scenario(
         retransmissions=snd.retransmissions,
         abandoned=snd.abandoned,
         on_time_ratio=playout.on_time_ratio(),
-        mean_latency=sum(latencies) / len(latencies) if latencies else 0.0,
+        mean_latency=fold_sum(latencies) / len(latencies) if latencies else 0.0,
         p95_latency=p95,
     )
 

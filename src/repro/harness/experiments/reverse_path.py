@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
+from repro.metrics.stats import fold_sum
 from repro.sim.engine import Simulator
 from repro.topo import build, reverse_path_chain_spec
 
@@ -90,7 +91,7 @@ def reverse_path_scenario(
         protocol=protocol,
         target_bps=target_bps,
         achieved_bps=built.recorder("assured").mean_rate_bps(warmup, duration),
-        reverse_total_bps=sum(
+        reverse_total_bps=fold_sum(
             built.recorder(f"rev{j}").mean_rate_bps(warmup, duration)
             for j in range(1, 1 + n_reverse)
         ),

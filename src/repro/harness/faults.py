@@ -58,6 +58,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.ioutil import sha256
+
 __all__ = [
     "CAMPAIGN_CHECKPOINT_SCOPE",
     "CorruptRecord",
@@ -173,14 +175,12 @@ class FaultPlan:
         self, index: int, scenario: str, params: Mapping[str, Any], attempt: int
     ) -> float:
         """Deterministic uniform [0, 1) draw for one (rule, cell, attempt)."""
-        import hashlib
-
         payload = json.dumps(
             [self.seed, index, scenario, dict(params), attempt],
             sort_keys=True,
             default=repr,
         )
-        digest = hashlib.sha256(payload.encode()).digest()
+        digest = sha256(payload.encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2**64
 
     def apply(

@@ -37,9 +37,11 @@ The parent is event-driven: it sleeps in ``connection.wait`` until the
 next thing it can act on — a worker reply, the earliest busy-worker
 deadline, or a backoff wake-up with a worker idle to take it.
 
-Import rule: no module-scope ``import hashlib`` / ``sqlite3`` /
-``multiprocessing`` under ``src/repro`` — import where used; a process
-that only simulates must not load them (``tests/test_import_order.py``).
+Import rule: hashing goes through :func:`repro.ioutil.sha256` (the
+interpreter's built-in SHA-256, so no process maps OpenSSL for it);
+``sqlite3`` and ``multiprocessing`` are imported where they are used,
+never at module scope under ``src/repro``, so a process that only
+simulates does not load them (``tests/test_import_order.py``).
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.ioutil import sha256
 
 __all__ = ["ResilientPool", "TaskOutcome"]
 
@@ -143,9 +147,7 @@ class _TaskState:
 
 def _jitter(task_id: int, attempt: int) -> float:
     """Deterministic backoff jitter factor in [0.5, 1.5)."""
-    import hashlib
-
-    digest = hashlib.sha256(f"{task_id}:{attempt}".encode()).digest()
+    digest = sha256(f"{task_id}:{attempt}".encode()).digest()
     return 0.5 + int.from_bytes(digest[:8], "big") / 2**64
 
 

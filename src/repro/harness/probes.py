@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.ioutil import sha256
 from repro.sim.engine import Simulator
 
 
@@ -41,11 +42,9 @@ def engine_trace_probe(seed: int = 0, n_events: int = 4000) -> Dict[str, object]
     in order.  Any change to event ordering, tie-breaking or
     cancellation semantics changes the digest.
     """
-    import hashlib
-
     sim = Simulator(seed=seed)
     rng = sim.rng("probe")
-    digest = hashlib.sha256()
+    digest = sha256()
     fired = [0]
     handles: List[object] = []
 

@@ -74,9 +74,11 @@ The cache key includes a hash of the ``repro`` package sources
 (``code_version``), so editing any simulator code transparently
 invalidates stale results.
 
-Import rule: no module-scope ``import hashlib`` / ``sqlite3`` /
-``multiprocessing`` under ``src/repro`` — import where used; a process
-that only simulates must not load them (``tests/test_import_order.py``).
+Import rule: hashing goes through :func:`repro.ioutil.sha256` (the
+interpreter's built-in SHA-256, so no process maps OpenSSL for it);
+``sqlite3`` and ``multiprocessing`` are imported where they are used,
+never at module scope under ``src/repro``, so a process that only
+simulates does not load them (``tests/test_import_order.py``).
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_bytes, open_append, read_jsonl
+from repro.ioutil import atomic_write_bytes, open_append, read_jsonl, sha256
 
 from repro.harness import faults as faults_mod
 from repro.harness.pool import ResilientPool, TaskOutcome
@@ -288,12 +290,10 @@ def code_version() -> str:
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
-        import hashlib
-
         import repro
 
         root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
+        digest = sha256()
         for path in sorted(root.rglob("*.py")):
             digest.update(path.relative_to(root).as_posix().encode())
             digest.update(b"\0")
@@ -309,8 +309,6 @@ def cache_key(scenario: str, params: Mapping[str, Any]) -> str:
     Parameters are JSON-canonicalized (sorted keys) before hashing so
     dict ordering never matters; both cache backends share this key.
     """
-    import hashlib
-
     payload = json.dumps(
         {
             "scenario": scenario,
@@ -324,7 +322,7 @@ def cache_key(scenario: str, params: Mapping[str, Any]) -> str:
         sort_keys=True,
         default=repr,
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
 #: One :class:`CorruptCacheWarning` per process, not one per entry: a
@@ -654,14 +652,12 @@ class SweepManifest:
     @staticmethod
     def grid_hash_of(scenario: str, run_params: Sequence[Mapping[str, Any]]) -> str:
         """Identity of one sweep: scenario + exact run list + code version."""
-        import hashlib
-
         payload = json.dumps(
             [scenario, list(run_params), code_version()],
             sort_keys=True,
             default=repr,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return sha256(payload.encode()).hexdigest()[:16]
 
     def _load_existing(self) -> None:
         header: Dict[str, Any] = {}

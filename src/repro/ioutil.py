@@ -22,6 +22,10 @@ SIGKILL mid-line: :func:`read_jsonl`, which skips whatever is not a
 whole JSON object, and :func:`open_append`, which never appends onto a
 torn tail.  When and how often a journal flushes or fsyncs stays with
 its writer.
+
+:func:`sha256` is the one way the repo hashes: the interpreter's
+built-in SHA-256, so that no process maps OpenSSL's libcrypto for a
+digest (``docs/observability.md``, *What a process costs*).
 """
 
 from __future__ import annotations
@@ -37,9 +41,13 @@ __all__ = [
     "atomic_write_json",
     "open_append",
     "read_jsonl",
+    "sha256",
 ]
 
 PathLike = Union[str, Path]
+
+#: The SHA-256 constructor :func:`sha256` resolved on its first call.
+_SHA256: Any = None
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -153,3 +161,25 @@ def open_append(path: PathLike) -> IO[str]:
     if torn:
         fh.write("\n")
     return fh
+
+
+def sha256(data: bytes = b"") -> Any:
+    """A SHA-256 hash object over ``data``, as ``hashlib.sha256`` gives.
+
+    The interpreter's built-in implementation (``_sha2`` on 3.12+,
+    ``_sha256`` before) is tried first, the way ``random`` does for
+    ``sha512``: ``hashlib`` loads ``_hashlib``, which maps OpenSSL's
+    libcrypto (+3.5 MB resident) into every sweep process.  The digests
+    are the same bytes; ``hashlib`` is the fallback for a build that
+    compiles the built-in module out.
+    """
+    global _SHA256
+    if _SHA256 is None:
+        try:
+            from _sha2 import sha256 as _SHA256
+        except ImportError:
+            try:
+                from _sha256 import sha256 as _SHA256
+            except ImportError:
+                from hashlib import sha256 as _SHA256
+    return _SHA256(data)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.metrics.stats import percentile
+from repro.metrics.stats import fold_sum, percentile
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def fct_summary(completions: Sequence[FlowCompletion]) -> FctSummary:
         return FctSummary(completed=0, mean=0.0, p50=0.0, p95=0.0, max=0.0)
     return FctSummary(
         completed=len(durations),
-        mean=sum(durations) / len(durations),
+        mean=fold_sum(durations) / len(durations),
         p50=percentile(durations, 50.0),
         p95=percentile(durations, 95.0),
         max=max(durations),

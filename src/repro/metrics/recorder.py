@@ -26,6 +26,7 @@ from array import array
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
+from repro.metrics.stats import fold_sum
 from repro.sim.packet import Packet
 
 
@@ -122,7 +123,7 @@ class FlowRecorder:
             hi = bisect_right(times, end)
             total = self._cum_bytes[hi] - self._cum_bytes[lo]
         else:  # out-of-order recording: exact scan fallback
-            total = sum(
+            total = fold_sum(
                 size
                 for t, size in zip(times, self._sizes)
                 if start < t <= end

@@ -9,7 +9,7 @@ percentiles.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def throughput_series(
@@ -37,9 +37,25 @@ def throughput_series(
     return [b / bin_width for b in bins]
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as a left fold: the same bits on every Python.
+
+    From 3.12 on, ``sum()`` compensates the rounding of float additions,
+    so it can differ from 3.10/3.11 in the last ulp, and the scenario
+    goldens and the benchmark's pinned results hold the left fold's
+    bits.  ``math.fsum`` would move them too.  Every float reduction in
+    ``metrics/`` and ``harness/experiments/`` goes through here
+    (``tests/test_metrics.py`` names a bare ``sum(`` there).
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; 0.0 for an empty sequence."""
-    return sum(values) / len(values) if values else 0.0
+    return fold_sum(values) / len(values) if values else 0.0
 
 
 def stddev(values: Sequence[float]) -> float:
@@ -47,7 +63,7 @@ def stddev(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
+    return math.sqrt(fold_sum((v - mu) ** 2 for v in values) / len(values))
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:
@@ -69,8 +85,8 @@ def jain_index(values: Sequence[float]) -> float:
     """
     if not values:
         raise ValueError("need at least one allocation")
-    total = sum(values)
-    squares = sum(v * v for v in values)
+    total = fold_sum(values)
+    squares = fold_sum(v * v for v in values)
     if squares == 0:
         return 1.0
     return (total * total) / (len(values) * squares)

@@ -37,20 +37,28 @@ class ProfileMarker:
         self.meter = meter
         self.flow_id = flow_id
         self.default_color = default_color
-        self.marked: Dict[Color, int] = {c: 0 for c in Color}
+        # indexed by color._value_, as in QueueStats: keying a dict by
+        # Color costs a Python-level Enum.__hash__ call per packet
+        self._marked = [0] * len(Color)
 
     def mark(self, packet: Packet, now: float) -> None:
         """Set ``packet.color`` according to the flow profile."""
         if self.flow_id is not None and packet.flow_id != self.flow_id:
-            packet.color = self.default_color
+            color = self.default_color
         else:
-            packet.color = self.meter.color_of(packet.size, now)
-        self.marked[packet.color] += 1
+            color = self.meter.color_of(packet.size, now)
+        packet.color = color
+        self._marked[color._value_] += 1
+
+    @property
+    def marked(self) -> Dict[Color, int]:
+        """Packets marked per color (read-only snapshot)."""
+        return {c: self._marked[c._value_] for c in Color}
 
     def green_fraction(self) -> float:
         """Fraction of marked packets colored GREEN (diagnostic)."""
-        total = sum(self.marked.values())
-        return self.marked[Color.GREEN] / total if total else 0.0
+        total = sum(self._marked)
+        return self._marked[Color.GREEN._value_] / total if total else 0.0
 
 
 class BestEffortMarker:

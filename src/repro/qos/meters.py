@@ -12,6 +12,8 @@ packet color), matching a first-hop edge conditioner.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.sim.packet import Color
 
 
@@ -81,7 +83,7 @@ class SrTcmMeter:
         self.tc = float(cbs_bytes)
         self.te = float(ebs_bytes)
         self._last_fill = 0.0
-        self.counts = {c: 0 for c in Color}
+        self._counts = [0] * len(Color)  # indexed by color._value_
 
     def _refill(self, now: float) -> None:
         if now <= self._last_fill:
@@ -104,8 +106,13 @@ class SrTcmMeter:
             color = Color.YELLOW
         else:
             color = Color.RED
-        self.counts[color] += 1
+        self._counts[color._value_] += 1
         return color
+
+    @property
+    def counts(self) -> Dict[Color, int]:
+        """Packets metered per color (read-only snapshot)."""
+        return {c: self._counts[c._value_] for c in Color}
 
 
 class TrTcmMeter:
@@ -125,7 +132,7 @@ class TrTcmMeter:
             raise ValueError("peak rate must be >= committed rate")
         self._committed = TokenBucket(cir_bps, cbs_bytes)
         self._peak = TokenBucket(pir_bps, pbs_bytes)
-        self.counts = {c: 0 for c in Color}
+        self._counts = [0] * len(Color)  # indexed by color._value_
 
     def color_of(self, size_bytes: int, now: float) -> Color:
         """Meter one packet and return its color (consuming tokens)."""
@@ -140,5 +147,10 @@ class TrTcmMeter:
             self._peak.tokens -= size_bytes
             self._committed.tokens -= size_bytes
             color = Color.GREEN
-        self.counts[color] += 1
+        self._counts[color._value_] += 1
         return color
+
+    @property
+    def counts(self) -> Dict[Color, int]:
+        """Packets metered per color (read-only snapshot)."""
+        return {c: self._counts[c._value_] for c in Color}

@@ -12,6 +12,7 @@ anything: scenario modules reach the network only through
 """
 
 import ast
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -27,7 +28,7 @@ MODULES = sorted(
     f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
 ) + [
     "repro.traffic.population", "repro.fluid.derive",
-    # modules that import hashlib / sqlite3 / multiprocessing where used
+    # modules that import sqlite3 / multiprocessing where used
     "repro.harness.runner", "repro.harness.pool", "repro.harness.faults",
     "repro.harness.cli", "repro.campaign.store",
 ]
@@ -107,21 +108,41 @@ def modules_after(statement, *flags):
     return done.stdout.split()
 
 
+#: Run with site, so that an installed package is importable and a
+#: guarded import of one (try/except ImportError) is reported by name.
+#: What site's .pth hooks loaded from outside the stdlib is dropped from
+#: sys.modules first: a package that a hook and the statement both
+#: import then counts as the statement's.
+LOADED_BY = """\
+import sys
+for name in list(sys.modules):
+    if name.partition(".")[0] not in sys.stdlib_module_names | {{"__main__"}}:
+        del sys.modules[name]
+before = set(sys.modules)
+{statement}
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def modules_loaded_by(statement):
+    """The modules ``statement`` adds to a fresh interpreter's sys.modules."""
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_BY.format(statement=statement)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_running_the_simulator_loads_only_repro_and_the_stdlib():
     # every benchmark subprocess, CLI call and spawned sweep worker pays
     # for whatever these imports pull in before it simulates anything
-    def top_level(modules):
-        return {name.partition(".")[0] for name in modules}
-
     statement = (
         "import repro.harness.runner, repro.api, repro.campaign, repro.obs"
     )
-    # with site, so that an installed package is importable and a guarded
-    # import of one (try/except ImportError) is reported by name
     third_party = (
-        top_level(modules_after(statement))
-        # __main__ and site's .pth hooks (e.g. _distutils_hack) load anyway
-        - top_level(modules_after("pass"))
+        {name.partition(".")[0] for name in modules_loaded_by(statement)}
         - sys.stdlib_module_names
         # multiprocessing's alias of __main__
         - {"repro", "__mp_main__"}
@@ -139,9 +160,11 @@ def test_running_the_simulator_loads_only_repro_and_the_stdlib():
     assert len(loaded) <= 219
 
 
-#: What the sweep fabric needs and a simulation never calls: OpenSSL's
-#: libcrypto behind hashlib, sqlite3, and multiprocessing with the
-#: modules it drags in.  6 MB resident when imported at module scope.
+#: What a simulation never calls: sqlite3, and multiprocessing with the
+#: modules it drags in, which the sweep fabric imports where it uses
+#: them (3.3 MB resident at module scope, python 3.11.7); and hashlib,
+#: whose _hashlib maps OpenSSL's libcrypto (3.6 MB), which no process
+#: loads since hashing goes through repro.ioutil.sha256.
 SWEEP_ONLY = {
     "hashlib", "_hashlib", "sqlite3", "_sqlite3", "multiprocessing",
     "socket", "_socket", "selectors", "subprocess", "tempfile", "shutil",
@@ -167,8 +190,55 @@ def test_footprint_a_process_that_simulates_loads_no_sweep_dependency():
     assert SWEEP_ONLY & (set(modules_after(SIMULATE, "-S")) - anyway) == set()
 
 
-def test_footprint_the_first_cache_key_is_what_loads_hashlib():
-    assert "hashlib" in modules_after(
-        "from repro.harness.runner import cache_key;"
-        ' cache_key("af_assurance", {"seed": 1})'
-    )
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+    reason="this interpreter is built without its own SHA-256",
+)
+def test_footprint_no_entry_point_loads_openssl(tmp_path):
+    # every way the repo hashes: cache keys, the code version, the grid
+    # hash, a parallel sweep into a fresh cache and a campaign artifact
+    statement = "; ".join([
+        "from pathlib import Path",
+        "from repro.campaign.store import _sha256_file",
+        "from repro.harness.runner import SweepManifest, cache_key,"
+        " code_version, run_matrix",
+        "code_version()",
+        'cache_key("af_assurance", {"seed": 1})',
+        'SweepManifest.grid_hash_of("af_assurance", [{"seed": 1}])',
+        'run_matrix("af_assurance", {"protocol": ["tcp", "gtfrc"]},'
+        ' base={"target_bps": 4e6, "n_cross": 1, "duration": 0.5,'
+        ' "warmup": 0.1}, seeds=[1, 2], workers=2,'
+        f" cache_dir=Path({str(tmp_path / 'cache')!r}))",
+        f"_sha256_file(Path({SRC!r}) / 'repro' / 'ioutil.py')",
+    ])
+    loaded = set(modules_after(statement, "-S"))
+    assert {"hashlib", "_hashlib"} & loaded == set()
+    assert len(list((tmp_path / "cache").rglob("*.pkl"))) == 4
+
+
+def test_only_the_sha256_helper_imports_hashlib():
+    # where hashlib is imported: (file, enclosing function)
+    importers = set()
+    for path in sorted(Path(SRC, "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {
+            child: node
+            for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if not {"hashlib", "_hashlib"} & {n.partition(".")[0] for n in names}:
+                continue
+            scope = node
+            while scope in parents and not isinstance(scope, ast.FunctionDef):
+                scope = parents[scope]
+            importers.add((
+                path.relative_to(SRC).as_posix(),
+                getattr(scope, "name", "<module>"),
+            ))
+    assert importers == {("repro/ioutil.py", "sha256")}

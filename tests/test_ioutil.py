@@ -1,16 +1,20 @@
-"""The shared atomic-write and JSONL-journal helpers (repro.ioutil)."""
+"""The shared helpers of repro.ioutil: atomic writes, JSONL journals, sha256."""
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.ioutil import (
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
     open_append,
     read_jsonl,
+    sha256,
 )
 
 
@@ -114,6 +118,43 @@ class TestJsonlJournal:
         with open_append(path) as fh:
             fh.write('{"i": 0}\n')
         assert path.read_text() == '{"i": 0}\n'
+
+
+class TestSha256:
+    """The built-in SHA-256 gives hashlib's bytes, so no key moves."""
+
+    @pytest.mark.parametrize("chunks", [
+        [], [b"abc"], [b"a", b"", b"bc", bytes(range(256)) * 300],
+    ])
+    def test_digest_is_hashlibs(self, chunks):
+        ours, reference = sha256(), hashlib.sha256()
+        for chunk in chunks:
+            ours.update(chunk)
+            reference.update(chunk)
+        assert ours.digest() == reference.digest()
+        assert ours.hexdigest() == reference.hexdigest()
+        data = b"".join(chunks)
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_code_version_and_cache_key_are_hashlibs(self):
+        from repro.harness.runner import cache_key, code_version
+
+        root = Path(repro.__file__).resolve().parent
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+        assert code_version() == digest.hexdigest()[:16]
+        payload = json.dumps(
+            {"scenario": "af_assurance", "params": {"seed": 1}, "seed": 1,
+             "code_version": code_version()},
+            sort_keys=True,
+        )
+        assert cache_key("af_assurance", {"seed": 1}) == (
+            hashlib.sha256(payload.encode()).hexdigest()
+        )
 
 
 class TestAdoption:

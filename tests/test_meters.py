@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.qos.marking import ProfileMarker
 from repro.qos.meters import SrTcmMeter, TokenBucket, TrTcmMeter
-from repro.sim.packet import Color
+from repro.sim.packet import Color, Packet
 
 
 class TestTokenBucket:
@@ -96,3 +97,13 @@ class TestTrTcm:
     def test_peak_must_cover_committed(self):
         with pytest.raises(ValueError):
             TrTcmMeter(cir_bps=16000, cbs_bytes=1000, pir_bps=8000, pbs_bytes=1000)
+
+
+def test_marker_and_meter_counts_read_per_color():
+    meter = TrTcmMeter(cir_bps=8000, cbs_bytes=1000, pir_bps=80000, pbs_bytes=2000)
+    marker = ProfileMarker(meter, flow_id="af")
+    for flow in ("af", "af", "af", "be"):
+        marker.mark(Packet(src="a", dst="b", flow_id=flow, size=1000), 0.0)
+    assert meter.counts == {Color.GREEN: 1, Color.YELLOW: 1, Color.RED: 1}
+    assert marker.marked == {Color.GREEN: 1, Color.YELLOW: 1, Color.RED: 2}
+    assert marker.green_fraction() == 0.25

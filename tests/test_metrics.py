@@ -1,11 +1,16 @@
 """Unit tests for metrics: stats, recorder, cost meters."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.metrics.cost import CostMeter, NullMeter
 from repro.metrics.recorder import FlowRecorder, warmup_bins
 from repro.metrics.stats import (
     coefficient_of_variation,
+    fold_sum,
     jain_index,
     mean,
     normalized_throughput,
@@ -82,6 +87,45 @@ class TestStats:
         assert normalized_throughput(2.0, 4.0) == 0.5
         with pytest.raises(ValueError):
             normalized_throughput(1.0, 0.0)
+
+    def test_fold_sum_rounds_each_addition_in_order(self):
+        # a left fold loses the 1.0 to rounding at 1e16 (ulp 2); the
+        # compensated sum() of 3.12+ would return 1.0
+        assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+        assert fold_sum([0.1] * 10) == 0.9999999999999999
+        assert fold_sum(v for v in (0.5, 0.25)) == 0.75
+        assert fold_sum([]) == 0
+        total = fold_sum([1, 2, 3])
+        assert total == 6 and isinstance(total, int)
+        assert mean([1e16, 1.0, -1e16]) == 0.0
+
+
+def _is_a_count(call: ast.Call) -> bool:
+    """``sum(1 for ...)``: integers, exact on every Python."""
+    (arg,) = call.args
+    return (
+        isinstance(arg, (ast.GeneratorExp, ast.ListComp))
+        and isinstance(arg.elt, ast.Constant)
+        and type(arg.elt.value) is int
+    )
+
+
+def test_float_reductions_go_through_fold_sum():
+    # sum() of floats is compensated from 3.12 on, so a bare sum( here
+    # gives a scenario metric different last bits per interpreter
+    root = Path(repro.__file__).parent
+    paths = [*root.glob("metrics/*.py"), *root.glob("harness/experiments/*.py")]
+    bare = []
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"
+                and not _is_a_count(node)
+            ):
+                bare.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert bare == []
 
 
 class TestFlowRecorder:
