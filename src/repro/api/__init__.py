@@ -40,12 +40,7 @@ benchmark table suites are built on the same two classes.
 
 from repro.api.experiment import Experiment
 from repro.api.resultset import ResultSet, UnknownMetricError
-from repro.harness.result import (
-    MappingResult,
-    RunFailure,
-    ScenarioResult,
-    coerce_result,
-)
+from repro.harness.result import MappingResult, RunFailure, ScenarioResult
 
 __all__ = [
     "Experiment",
@@ -54,5 +49,4 @@ __all__ = [
     "RunFailure",
     "ScenarioResult",
     "UnknownMetricError",
-    "coerce_result",
 ]

@@ -277,13 +277,12 @@ class Experiment:
         writer = None
         run_observer = observer
         if self._trace:
-            from repro.harness.runner import make_cache, spans_path
+            from repro.harness.runner import SweepCache, spans_path
             from repro.obs.spans import SpanWriter
 
-            cache = make_cache(self._cache_dir)
             path = (
-                str(spans_path(cache, self._spec.name))
-                if cache is not None else None
+                str(spans_path(SweepCache(self._cache_dir), self._spec.name))
+                if self._cache_dir is not None else None
             )
             writer = SpanWriter(path, header={
                 "scenario": self._spec.name,
@@ -319,11 +318,7 @@ class Experiment:
             if writer is not None:
                 writer.close()
 
-        declared = None
-        if self._spec.result_type is not None:
-            metric_names = getattr(self._spec.result_type, "metric_names", None)
-            if callable(metric_names):
-                declared = list(metric_names())
+        declared = list(self._spec.result_type.metric_names())
 
         obs_snapshot = None
         from repro.obs.metrics import metrics_enabled

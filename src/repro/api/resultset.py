@@ -14,10 +14,10 @@ analysis script used to hand-roll:
   :func:`repro.harness.tables.format_table`, :meth:`to_rows` /
   :meth:`to_csv` / :meth:`to_json` export machine-readable forms.
 
-Results are adapted through the
-:class:`~repro.harness.result.ScenarioResult` contract; legacy raw
-dict results are wrapped (with a one-time deprecation warning) so the
-container never exposes free-form payloads.
+Every record's result must be a
+:class:`~repro.harness.result.ScenarioResult` (a ``TypeError`` naming
+the scenario otherwise), so the container never exposes free-form
+payloads.
 
 Partial results (PR 7): a sweep run with ``on_failure="keep"`` may
 contain terminally failed cells — records whose result is a
@@ -50,12 +50,7 @@ from typing import (
 )
 
 from repro.ioutil import atomic_write_text
-from repro.harness.result import (
-    MappingResult,
-    RunFailure,
-    ScenarioResult,
-    coerce_result,
-)
+from repro.harness.result import MappingResult, RunFailure, ScenarioResult
 from repro.harness.runner import RunRecord
 from repro.harness.tables import format_table
 from repro.metrics.stats import mean as _mean
@@ -148,16 +143,21 @@ class ResultSet:
         # only; slices answer through the records they hold)
         self._spans = list(spans) if spans is not None else None
         self._obs_metrics = obs_metrics
-        # per-record coercion/metrics caches: query helpers visit every
-        # record per call, and computed @property metrics should be
-        # evaluated once per record, not once per table cell.  Derived
-        # sets (filter/group_by slices) share the parent's caches —
-        # they hold the same record objects (keys are record ids).
+        # per-record metrics cache: query helpers visit every record
+        # per call, and computed @property metrics should be evaluated
+        # once per record, not once per table cell.  Derived sets
+        # (filter/group_by slices) share the parent's cache — they hold
+        # the same, already checked, record objects (keys are record ids).
         if _parent is not None:
-            self._coerced = _parent._coerced
             self._metric_cache = _parent._metric_cache
         else:
-            self._coerced: Dict[int, ScenarioResult] = {}
+            for record in self._records:
+                if not isinstance(record.result, ScenarioResult):
+                    raise TypeError(
+                        f"scenario {record.scenario!r} returned a "
+                        f"{type(record.result).__name__}, not a "
+                        "ScenarioResult"
+                    )
             self._metric_cache: Dict[int, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
@@ -188,22 +188,14 @@ class ResultSet:
     @property
     def results(self) -> List[ScenarioResult]:
         """Every run's result under the :class:`ScenarioResult` contract."""
-        return [self._result(r) for r in self._records]
-
-    def _result(self, record: RunRecord) -> ScenarioResult:
-        key = id(record)
-        result = self._coerced.get(key)
-        if result is None:
-            result = coerce_result(record.result, record.scenario)
-            self._coerced[key] = result
-        return result
+        return [r.result for r in self._records]
 
     def _metrics_of(self, record: RunRecord) -> Dict[str, Any]:
         """The record's metrics dict, computed once (do not mutate)."""
         key = id(record)
         metrics = self._metric_cache.get(key)
         if metrics is None:
-            metrics = self._result(record).metrics()
+            metrics = record.result.metrics()
             self._metric_cache[key] = metrics
         return metrics
 
@@ -368,7 +360,7 @@ class ResultSet:
 
     def one(self, **query: Any) -> ScenarioResult:
         """The single result matching ``query`` (KeyError otherwise)."""
-        return self._result(self._single(query))
+        return self._single(query).result
 
     def value(self, metric: str, **query: Any) -> Any:
         """One metric of the single run matching ``query``.

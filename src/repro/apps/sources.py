@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.sender import QtpSender
+from repro.metrics.stats import fold_sum
 from repro.sim.engine import Simulator
 from repro.sim.packet import AppDataHeader
 
@@ -195,7 +196,7 @@ class MediaSource(_BaseSource):
 
     def mean_rate_bps(self) -> float:
         """Long-run average source rate implied by the GoP structure."""
-        gop_bytes = sum(self.sizes[t] for t in self.GOP)
+        gop_bytes = fold_sum(self.sizes[t] for t in self.GOP)
         return gop_bytes * 8 * self.fps / len(self.GOP)
 
     def _schedule_next(self, first: bool = False) -> None:

@@ -33,7 +33,10 @@ from repro.sim.packet import (
 )
 from repro.tfrc.equation import solve_loss_rate
 from repro.tfrc.loss_history import LossEventEstimator
-from repro.tfrc.sender import FEEDBACK_SIZE
+
+#: Size of a TFRC feedback packet on the wire (bytes), before SACK
+#: blocks and the profile's padding.
+FEEDBACK_SIZE = 40
 
 
 class QtpReceiver(Agent):

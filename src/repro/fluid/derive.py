@@ -38,6 +38,7 @@ from dataclasses import replace
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.fluid.specs import BackgroundLoadSpec
+from repro.metrics.stats import fold_sum
 from repro.topo.specs import FlowSpec, ScenarioSpec
 # ``expand_population`` is not called here; perf/workloads.py wraps it
 # through this module's namespace (KeyError otherwise), so it stays.
@@ -271,7 +272,7 @@ def _attach_background(
         # against a large elastic crowd the foreground's excess share
         # tends to zero) of the tightest bottleneck, exactly what
         # per-packet RIO would have protected statistically
-        committed = sum(f.target_bps or 0.0 for f in foreground)
+        committed = fold_sum(f.target_bps or 0.0 for f in foreground)
         bottleneck = min(
             ls.rate_bps
             for ls in spec.topology.links

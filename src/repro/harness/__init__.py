@@ -45,14 +45,13 @@ from repro.harness.registry import (
     list_scenarios,
     register,
 )
-from repro.harness.result import MappingResult, ScenarioResult, coerce_result
+from repro.harness.result import MappingResult, ScenarioResult
 from repro.harness.runner import RunRecord, code_version, expand_grid, run_matrix
 from repro.harness.tables import format_table
 
 __all__ = [
     "MappingResult",
     "ScenarioResult",
-    "coerce_result",
     "af_dumbbell_scenario",
     "convergence_scenario",
     "gtfrc_ablation_scenario",

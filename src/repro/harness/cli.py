@@ -10,9 +10,8 @@ Usage::
 
 ``run`` builds a :class:`repro.api.Experiment` over the scenario's
 sweep grid (the registered default when no ``--sweep`` is given),
-memoizing results under ``--cache-dir`` (default ``.sweep-cache/``;
-``--no-cache`` disables; ``REPRO_CACHE=sqlite:<path>`` redirects the
-memo to one shareable sqlite file), and emits the
+memoizing results as one pickle per run under ``--cache-dir``
+(default ``.sweep-cache/``; ``--no-cache`` disables), and emits the
 :class:`repro.api.ResultSet` in the requested ``--format``: the
 fixed-width ``table`` (one row per run: swept parameters followed by
 the result's declared metrics, plus a run-count summary), or the
@@ -249,15 +248,14 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         type=Path,
         default=Path(".sweep-cache"),
-        help="result memo directory (default: ./.sweep-cache); "
-        "REPRO_CACHE=sqlite:<path> in the environment redirects the "
-        "memo to one shareable sqlite file instead (--no-cache still "
-        "disables everything)",
+        help="result memo directory, one pickle per run, with the "
+        "sweep's manifest next to it (default: ./.sweep-cache)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="recompute every run; do not read or write the cache",
+        help="recompute every run; read and write no memo and no "
+        "manifest (so --resume cannot be used)",
     )
     parser.add_argument(
         "--max-retries",

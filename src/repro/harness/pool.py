@@ -39,9 +39,9 @@ deadline, or a backoff wake-up with a worker idle to take it.
 
 Import rule: hashing goes through :func:`repro.ioutil.sha256` (the
 interpreter's built-in SHA-256, so no process maps OpenSSL for it);
-``sqlite3`` and ``multiprocessing`` are imported where they are used,
-never at module scope under ``src/repro``, so a process that only
-simulates does not load them (``tests/test_import_order.py``).
+``multiprocessing`` is imported where it is used, never at module
+scope under ``src/repro``, so a process that only simulates does not
+load it (``tests/test_import_order.py``).
 """
 
 from __future__ import annotations
@@ -88,6 +88,10 @@ def _worker_main(conn, fn) -> None:
     (type_name, message, traceback, exception_or_None))``.  The
     exception object rides along when picklable so strict callers can
     re-raise the original; the string triple always survives.
+
+    A worker forked inside the runner's SIGTERM guard inherits its
+    SIGTERM -> ``KeyboardInterrupt`` handler, so an interrupt while it
+    waits or replies ends the loop quietly, without a traceback.
     """
     while True:
         try:
@@ -105,13 +109,15 @@ def _worker_main(conn, fn) -> None:
             reply = (task_id, "error", info)
         try:
             conn.send(reply)
+        except KeyboardInterrupt:
+            break
         except Exception:
             if reply[1] == "error":
                 # the exception itself would not pickle; strip it
                 try:
                     conn.send((task_id, "error", reply[2][:3] + (None,)))
                     continue
-                except Exception:
+                except (Exception, KeyboardInterrupt):
                     break
             break
     try:

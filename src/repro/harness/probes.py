@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.ioutil import sha256
+from repro.metrics.stats import fold_sum
 from repro.sim.engine import Simulator
 
 
@@ -222,7 +223,7 @@ def traffic_trace_probe(
     done = built.completions()
     fingerprint["flows"] = len(built.spec.flows)
     fingerprint["completed"] = len(done)
-    fingerprint["fct_sum"] = repr(sum(c.duration for c in done))
+    fingerprint["fct_sum"] = repr(fold_sum(c.duration for c in done))
     return fingerprint
 
 

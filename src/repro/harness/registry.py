@@ -24,7 +24,6 @@ from __future__ import annotations
 import inspect
 import types
 import typing
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,12 +43,11 @@ class ScenarioSpec:
     description: str
     params: Mapping[str, type]
     defaults: Mapping[str, Any]
+    #: Declared :class:`~repro.harness.result.ScenarioResult` subclass
+    #: returned by ``fn``.
+    result_type: type
     default_grid: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
     optional: frozenset = frozenset()  # params typed Optional[...]
-    #: Declared :class:`~repro.harness.result.ScenarioResult` subclass
-    #: returned by ``fn`` (``None`` for legacy raw-dict scenarios, which
-    #: are adapted — with a deprecation warning — at query time).
-    result_type: Optional[type] = None
 
     def bind(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """Validate ``params`` against the schema and return call kwargs."""
@@ -94,7 +92,9 @@ def register(
 
     ``grid`` is the default sweep (parameter name → sequence of values)
     used when a caller does not supply one.  The parameter schema is
-    derived from the function's signature and type hints.
+    derived from the function's signature and type hints, and the
+    function must declare a :class:`~repro.harness.result.ScenarioResult`
+    subclass as its return type (``TypeError`` otherwise).
     """
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -109,15 +109,9 @@ def register(
                 )
         result_type = result_type_of(fn)
         if result_type is None:
-            # the contract every in-tree scenario follows; out-of-tree
-            # raw-dict scenarios keep working through the coerce_result
-            # shim but are nudged toward the typed contract
-            warnings.warn(
-                f"scenario {name!r} does not declare a ScenarioResult "
-                "return type; raw results are deprecated (they are "
-                "adapted via repro.harness.result.coerce_result)",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                f"scenario {name!r} must declare a ScenarioResult "
+                "subclass as its return type"
             )
         _REGISTRY[name] = ScenarioSpec(
             name=name,

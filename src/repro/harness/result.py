@@ -19,10 +19,9 @@ The contract is deliberately thin:
   opted in per class via ``__computed_metrics__`` and appended after
   the field metrics.
 
-Scenarios registered with a non-``ScenarioResult`` return type keep
-working through :func:`coerce_result` — raw dicts are adapted into
-:class:`MappingResult` with a one-time :class:`DeprecationWarning` per
-scenario (the shim the migration documentation promises).
+:func:`~repro.harness.registry.register` refuses a scenario that does
+not declare a ``ScenarioResult`` subclass as its return type, and
+:class:`repro.api.ResultSet` refuses a record holding anything else.
 """
 
 from __future__ import annotations
@@ -30,14 +29,12 @@ from __future__ import annotations
 import dataclasses
 import types
 import typing
-import warnings
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 __all__ = [
     "MappingResult",
     "RunFailure",
     "ScenarioResult",
-    "coerce_result",
     "is_scalar",
 ]
 
@@ -130,7 +127,7 @@ class ScenarioResult:
 
 @dataclasses.dataclass
 class MappingResult(ScenarioResult):
-    """Adapter wrapping a legacy raw-``dict`` (or aggregate) result.
+    """A result held as a plain mapping (what ``ResultSet.aggregate`` builds).
 
     Scalar items become the metrics, in mapping insertion order;
     non-scalar items are payload.  Item access (``result["key"]``) is
@@ -192,42 +189,6 @@ class RunFailure(ScenarioResult):
     def traceback(self) -> str:
         """The final attempt's formatted traceback ('' when unavailable)."""
         return "\n".join(self.traceback_lines)
-
-
-#: Scenario names already warned about returning legacy results.
-_WARNED_LEGACY: set = set()
-
-
-def coerce_result(result: Any, scenario: str = "") -> ScenarioResult:
-    """Adapt any scenario return value to the :class:`ScenarioResult` contract.
-
-    Contract-abiding results pass through untouched.  Raw mappings and
-    legacy (non-contract) dataclasses are wrapped in a
-    :class:`MappingResult`, with one :class:`DeprecationWarning` per
-    scenario name; bare scalars become a single ``result`` metric.
-    """
-    if isinstance(result, ScenarioResult):
-        return result
-    if scenario not in _WARNED_LEGACY:
-        _WARNED_LEGACY.add(scenario)
-        warnings.warn(
-            f"scenario {scenario or '<anonymous>'!r} returned a "
-            f"{type(result).__name__} instead of a ScenarioResult; "
-            "raw results are deprecated — declare a ScenarioResult "
-            "subclass as the return type",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if isinstance(result, Mapping):
-        return MappingResult(dict(result))
-    if dataclasses.is_dataclass(result) and not isinstance(result, type):
-        return MappingResult(
-            {
-                f.name: getattr(result, f.name)
-                for f in dataclasses.fields(result)
-            }
-        )
-    return MappingResult({"result": result})
 
 
 def result_type_of(fn: Any) -> Optional[type]:

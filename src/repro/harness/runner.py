@@ -37,10 +37,9 @@ Failure semantics (PR 7):
 * failed records are **never cached**; successful records are
   byte-identical to a fault-free run (pinned by the chaos suite
   against the existing goldens);
-* a corrupt cache entry (truncated pickle, undecodable sqlite blob) is
-  quarantined — renamed ``*.corrupt`` / moved to a ``quarantine``
-  table — and treated as a miss with one :class:`CorruptCacheWarning`
-  per process, never an exception;
+* a corrupt cache entry (truncated or foreign pickle) is quarantined —
+  renamed ``*.corrupt`` — and treated as a miss with one
+  :class:`CorruptCacheWarning` per process, never an exception;
 * deterministic chaos for all of the above comes from
   :mod:`repro.harness.faults` (``REPRO_FAULTS`` or the ``faults=``
   argument): plans travel with each task into the workers.
@@ -76,9 +75,9 @@ invalidates stale results.
 
 Import rule: hashing goes through :func:`repro.ioutil.sha256` (the
 interpreter's built-in SHA-256, so no process maps OpenSSL for it);
-``sqlite3`` and ``multiprocessing`` are imported where they are used,
-never at module scope under ``src/repro``, so a process that only
-simulates does not load them (``tests/test_import_order.py``).
+``multiprocessing`` is imported where it is used, never at module
+scope under ``src/repro``, so a process that only simulates does not
+load it (``tests/test_import_order.py``).
 """
 
 from __future__ import annotations
@@ -116,30 +115,19 @@ from repro.harness.registry import get_scenario
 from repro.harness.result import RunFailure
 
 __all__ = [
-    "CACHE_ENV",
     "CorruptCacheWarning",
     "RunRecord",
-    "SqliteSweepCache",
     "SweepCache",
     "SweepManifest",
     "SweepRunError",
     "code_version",
     "expand_grid",
-    "make_cache",
     "quarantine_count",
     "run_matrix",
     "shutdown_warm_pool",
     "spans_path",
     "warm_pool_stats",
 ]
-
-#: Environment variable selecting an alternate cache backend for
-#: :func:`run_matrix`.  ``REPRO_CACHE=sqlite:/path/to/results.db``
-#: stores every memoized run in one sqlite file — a single shareable
-#: artifact for CI reuse — instead of the default per-machine
-#: pickle-per-run directory.  Explicitly disabled caching
-#: (``cache_dir=None`` / ``--no-cache``) always wins over the variable.
-CACHE_ENV = "REPRO_CACHE"
 
 #: Base delay (seconds) for the exponential retry backoff; attempt N
 #: waits ``base * 2**(N-1) * jitter`` with deterministic jitter in
@@ -307,7 +295,7 @@ def cache_key(scenario: str, params: Mapping[str, Any]) -> str:
     """The canonical memo key: sha256 of the JSON-canonicalized contract.
 
     Parameters are JSON-canonicalized (sorted keys) before hashing so
-    dict ordering never matters; both cache backends share this key.
+    dict ordering never matters; :class:`SweepCache` names its files by it.
     """
     payload = json.dumps(
         {
@@ -407,203 +395,6 @@ class SweepCache:
         # power-cut-lost entry is merely a cache miss, and the memo is
         # written once per cell on the sweep hot path
         atomic_write_bytes(path, pickle.dumps(record), fsync=False)
-
-
-class SqliteSweepCache:
-    """Single-file sqlite result store (``REPRO_CACHE=sqlite:path``).
-
-    Same contract and :func:`cache_key` as :class:`SweepCache`, but all
-    runs live in one ``results`` table keyed by the memo digest — the
-    whole sweep history is one file that CI jobs can upload, download
-    and share across hosts.  Writes go through short-lived connections
-    with ``INSERT OR REPLACE``, so concurrent sweeps at worst redo a
-    run, never corrupt the store.  A row whose payload fails to decode
-    is quarantined (moved to a ``quarantine`` table) and treated as a
-    miss, with one :class:`CorruptCacheWarning` per process.
-
-    Under heavy multi-process contention sqlite can still surface
-    ``OperationalError: database is locked`` past its own busy wait;
-    every cache operation retries those with bounded exponential
-    backoff (:data:`LOCK_RETRIES` attempts) before giving up.
-    """
-
-    _SCHEMA = (
-        "CREATE TABLE IF NOT EXISTS results ("
-        " key TEXT PRIMARY KEY,"
-        " scenario TEXT NOT NULL,"
-        " params_json TEXT NOT NULL,"
-        " created REAL NOT NULL,"
-        " payload BLOB NOT NULL)"
-    )
-
-    _QUARANTINE_SCHEMA = (
-        "CREATE TABLE IF NOT EXISTS quarantine ("
-        " key TEXT,"
-        " scenario TEXT,"
-        " params_json TEXT,"
-        " created REAL,"
-        " payload BLOB,"
-        " quarantined REAL NOT NULL)"
-    )
-
-    #: Attempts per cache operation when sqlite reports the database
-    #: locked/busy; backoff doubles from LOCK_BACKOFF up to LOCK_BACKOFF_MAX.
-    LOCK_RETRIES = 6
-    LOCK_BACKOFF = 0.025
-    LOCK_BACKOFF_MAX = 0.4
-
-    def __init__(self, path: Path, *, timeout: float = 30.0):
-        self.path = Path(path)
-        self.timeout = float(timeout)
-        self._schema_ready = False
-
-    @staticmethod
-    def _is_locked(exc: BaseException) -> bool:
-        text = str(exc).lower()
-        return "locked" in text or "busy" in text
-
-    def _with_lock_retry(self, operation: Callable[[], Any]) -> Any:
-        """Run one cache operation, retrying transient lock errors.
-
-        Only ``sqlite3.OperationalError`` whose message names a
-        locked/busy database is retried; anything else (corrupt file,
-        bad schema, missing permissions) propagates immediately.
-        """
-        import sqlite3
-
-        delay = self.LOCK_BACKOFF
-        for attempt in range(self.LOCK_RETRIES):
-            try:
-                return operation()
-            except sqlite3.OperationalError as exc:
-                if not self._is_locked(exc) or attempt == self.LOCK_RETRIES - 1:
-                    raise
-                time.sleep(delay)
-                delay = min(delay * 2, self.LOCK_BACKOFF_MAX)
-
-    @contextlib.contextmanager
-    def _connect(self):
-        """A short-lived, always-closed connection with the schema ready.
-
-        (``sqlite3``'s own context manager only commits/rolls back — it
-        does not close, so handles would pile up over a large sweep.)
-        """
-        import sqlite3
-
-        if not self._schema_ready and self.path.parent:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        with contextlib.closing(
-            sqlite3.connect(self.path, timeout=self.timeout)
-        ) as conn:
-            if not self._schema_ready:
-                conn.execute(self._SCHEMA)
-                # WAL keeps concurrent sweep processes from tripping
-                # over each other's locks (writers don't block readers,
-                # and busy-waits resolve fast); sqlite silently falls
-                # back where the filesystem cannot support it
-                conn.execute("PRAGMA journal_mode=WAL").fetchone()
-                self._schema_ready = True
-            with conn:  # one transaction per cache operation
-                yield conn
-
-    def key(self, scenario: str, params: Mapping[str, Any]) -> str:
-        return cache_key(scenario, params)
-
-    def _quarantine(self, key: str, exc: Exception) -> None:
-        def _move_aside() -> None:
-            with self._connect() as conn:
-                conn.execute(self._QUARANTINE_SCHEMA)
-                conn.execute(
-                    "INSERT INTO quarantine "
-                    "SELECT key, scenario, params_json, created, payload, ? "
-                    "FROM results WHERE key = ?",
-                    (time.time(), key),
-                )
-                conn.execute("DELETE FROM results WHERE key = ?", (key,))
-
-        try:
-            self._with_lock_retry(_move_aside)
-        except Exception:
-            return  # cannot move it aside; stay a silent miss
-        _warn_quarantine(f"{self.path} key {key[:12]}…", exc)
-
-    def load(self, scenario: str, params: Mapping[str, Any]) -> Optional[RunRecord]:
-        key = cache_key(scenario, params)
-
-        def _select():
-            with self._connect() as conn:
-                return conn.execute(
-                    "SELECT payload FROM results WHERE key = ?", (key,)
-                ).fetchone()
-
-        try:
-            row = self._with_lock_retry(_select)
-        except Exception:
-            # still unreadable after the lock retries (bad permissions,
-            # persistent lock) is a plain miss to recompute — nothing
-            # to quarantine
-            return None
-        if row is None:
-            return None
-        try:
-            record = pickle.loads(row[0])
-            if not isinstance(record, RunRecord):
-                raise TypeError(
-                    f"payload holds {type(record).__name__}, not RunRecord"
-                )
-        except Exception as exc:
-            # truncated blob or foreign pickle: move the row aside so it
-            # never trips another sweep, then recompute
-            self._quarantine(key, exc)
-            return None
-        record.cached = True
-        return record
-
-    def store(self, record: RunRecord) -> None:
-        row = (
-            cache_key(record.scenario, record.params),
-            record.scenario,
-            json.dumps(record.params, sort_keys=True, default=repr),
-            time.time(),
-            pickle.dumps(record),
-        )
-
-        def _insert() -> None:
-            with self._connect() as conn:
-                conn.execute(
-                    "INSERT OR REPLACE INTO results "
-                    "(key, scenario, params_json, created, payload) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    row,
-                )
-
-        self._with_lock_retry(_insert)
-
-
-def make_cache(cache_dir: Optional[Path]):
-    """Resolve the cache backend for one :func:`run_matrix` call.
-
-    ``cache_dir=None`` (caching explicitly disabled) always returns
-    ``None``.  Otherwise the :data:`CACHE_ENV` variable may redirect
-    the memo to an alternate backend — currently
-    ``sqlite:<path>`` — and the default is the pickle-per-run
-    :class:`SweepCache` under ``cache_dir``.
-    """
-    if cache_dir is None:
-        return None
-    spec = os.environ.get(CACHE_ENV, "").strip()
-    if not spec:
-        return SweepCache(cache_dir)
-    backend, _, arg = spec.partition(":")
-    if backend == "sqlite":
-        if not arg:
-            raise ValueError(
-                f"{CACHE_ENV}=sqlite needs a path: sqlite:/path/to/results.db"
-            )
-        return SqliteSweepCache(Path(arg))
-    raise ValueError(
-        f"unknown {CACHE_ENV} backend {backend!r} (known: sqlite:<path>)"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -723,7 +514,7 @@ class SweepManifest:
             pass
 
 
-def _manifest_path(cache: Any, scenario: str) -> Path:
+def _manifest_path(cache: SweepCache, scenario: str) -> Path:
     """Where the manifest for one sweep lives (next to its memo cache).
 
     One journal per scenario per cache location — deliberately *not*
@@ -732,18 +523,12 @@ def _manifest_path(cache: Any, scenario: str) -> Path:
     grid hash (a silent fresh start on a changed grid would defeat the
     point of asking to resume).
     """
-    name = f"{scenario}.manifest.jsonl"
-    if isinstance(cache, SqliteSweepCache):
-        return cache.path.parent / f"{cache.path.name}.{name}"
-    return cache.directory / name
+    return cache.directory / f"{scenario}.manifest.jsonl"
 
 
-def spans_path(cache: Any, scenario: str) -> Path:
+def spans_path(cache: SweepCache, scenario: str) -> Path:
     """Where a traced sweep's span JSONL lives (next to its manifest)."""
-    name = f"{scenario}.spans.jsonl"
-    if isinstance(cache, SqliteSweepCache):
-        return cache.path.parent / f"{cache.path.name}.{name}"
-    return cache.directory / name
+    return cache.directory / f"{scenario}.spans.jsonl"
 
 
 # ----------------------------------------------------------------------
@@ -1025,10 +810,8 @@ def run_matrix(
         default) runs in-process with no pool overhead; less than 1 is
         a ``ValueError``.  Results are identical for every worker count.
     cache_dir:
-        Directory for the on-disk memo; ``None`` disables caching.
-        When caching is enabled, ``REPRO_CACHE=sqlite:<path>`` in the
-        environment redirects the memo to a single shareable sqlite
-        file instead (see :func:`make_cache`).
+        Directory for the pickle-per-run memo (:class:`SweepCache`)
+        and the sweep's manifest; ``None`` disables both.
     progress:
         Optional callback invoked with each finished/loaded record
         (including terminal-failure records when ``strict=False``).
@@ -1108,7 +891,7 @@ def run_matrix(
 
         profile = profiling_requested()
 
-    cache = make_cache(cache_dir)
+    cache = SweepCache(cache_dir) if cache_dir is not None else None
     if resume and cache is None:
         raise ValueError(
             "resume=True needs the memo cache (it is what completed cells "

@@ -43,9 +43,9 @@ def fold_sum(values: Iterable[float]) -> float:
     From 3.12 on, ``sum()`` compensates the rounding of float additions,
     so it can differ from 3.10/3.11 in the last ulp, and the scenario
     goldens and the benchmark's pinned results hold the left fold's
-    bits.  ``math.fsum`` would move them too.  Every float reduction in
-    ``metrics/`` and ``harness/experiments/`` goes through here
-    (``tests/test_metrics.py`` names a bare ``sum(`` there).
+    bits.  ``math.fsum`` would move them too.  Every reduction under
+    ``src/repro`` outside ``obs/`` (whose sums are wall-clock times)
+    goes through here; ``tests/test_metrics.py`` names a bare ``sum(``.
     """
     total = 0
     for value in values:
@@ -112,9 +112,3 @@ def percentile(values: Sequence[float], q: float) -> float:
     # (e.g. values=[7.135396919844353e-221]*2, q=4.5); clamp it back
     return min(max(interpolated, ordered[lo]), ordered[hi])
 
-
-def normalized_throughput(flow_rate: float, fair_share: float) -> float:
-    """Ratio of a flow's rate to its fair share (friendliness metric)."""
-    if fair_share <= 0:
-        raise ValueError("fair share must be positive")
-    return flow_rate / fair_share

@@ -12,11 +12,9 @@ from repro.netem.channels import (
     CompositeChannel,
     GilbertElliottChannel,
     JitterChannel,
-    PerfectChannel,
 )
 
 __all__ = [
-    "PerfectChannel",
     "BernoulliLossChannel",
     "GilbertElliottChannel",
     "JitterChannel",

@@ -13,14 +13,6 @@ from typing import List, Optional, Sequence
 from repro.sim.packet import Packet
 
 
-class PerfectChannel:
-    """A channel that never loses nor delays packets."""
-
-    def transit(self, packet: Packet, now: float) -> Optional[float]:
-        """Always deliver with zero extra delay."""
-        return 0.0
-
-
 class BernoulliLossChannel:
     """Independent (memoryless) random loss with probability ``loss_rate``.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.metrics.stats import fold_sum
 from repro.sim.packet import Color, Packet
 
 
@@ -57,7 +58,7 @@ class ProfileMarker:
 
     def green_fraction(self) -> float:
         """Fraction of marked packets colored GREEN (diagnostic)."""
-        total = sum(self._marked)
+        total = fold_sum(self._marked)
         return self._marked[Color.GREEN._value_] / total if total else 0.0
 
 

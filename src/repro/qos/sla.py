@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.metrics.stats import fold_sum
 from repro.qos.meters import SrTcmMeter
 
 
@@ -79,7 +80,7 @@ class AdmissionController:
     @property
     def committed_bps(self) -> float:
         """Sum of currently admitted committed rates."""
-        return sum(s.committed_rate_bps for s in self.slas.values())
+        return fold_sum(s.committed_rate_bps for s in self.slas.values())
 
     @property
     def budget_bps(self) -> float:

@@ -258,11 +258,6 @@ class Packet:
         )
 
 
-def total_bytes(packets: List[Packet]) -> int:
-    """Sum of packet sizes; convenience for tests and metrics."""
-    return sum(p.size for p in packets)
-
-
 # ----------------------------------------------------------------------
 # packet pool
 # ----------------------------------------------------------------------

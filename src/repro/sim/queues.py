@@ -28,9 +28,10 @@ class QueueStats:
     historical ``drops_by_color`` / ``accepts_by_color`` dict views are
     preserved as read-only properties for reports and tests.
 
-    Accepting is once per packet per hop, so the in-tree disciplines
-    apply :meth:`record_accept`'s three updates in place at the end of
-    ``enqueue`` instead of calling it; drops are rare and go through
+    Accepting is once per packet per hop, so each discipline records an
+    accept in place at the end of ``enqueue`` — ``enqueued += 1``,
+    ``enqueued_bytes += size``, ``_accepts_by_color[color] += 1`` —
+    instead of calling a method; drops are rare and go through
     :meth:`record_drop`.  Both index with ``color._value_`` — the plain
     member attribute behind ``Color.value``, whose descriptor is a
     Python-level call per access.
@@ -54,11 +55,6 @@ class QueueStats:
         self.dropped_bytes = 0
         self._drops_by_color = [0] * len(Color)
         self._accepts_by_color = [0] * len(Color)
-
-    def record_accept(self, packet: Packet) -> None:
-        self.enqueued += 1
-        self.enqueued_bytes += packet.size
-        self._accepts_by_color[packet.color._value_] += 1
 
     def record_drop(self, packet: Packet) -> None:
         self.dropped += 1
@@ -146,7 +142,7 @@ class DropTailQueue:
         size = packet.size
         self._items.append(packet)
         self._bytes += size
-        stats = self.stats  # record_accept(), in place
+        stats = self.stats  # the accept, in place (see QueueStats)
         stats.enqueued += 1
         stats.enqueued_bytes += size
         stats._accepts_by_color[packet.color._value_] += 1
@@ -280,7 +276,7 @@ class RedQueue:
         self._items.append(packet)
         self._bytes += size
         self._idle_since = None
-        stats = self.stats  # record_accept(), in place
+        stats = self.stats  # the accept, in place (see QueueStats)
         stats.enqueued += 1
         stats.enqueued_bytes += size
         stats._accepts_by_color[packet.color._value_] += 1
@@ -436,7 +432,7 @@ class RioQueue:
         if in_profile:
             self._in_count_q += 1
         self._idle_since = None
-        stats = self.stats  # record_accept(), in place
+        stats = self.stats  # the accept, in place (see QueueStats)
         stats.enqueued += 1
         stats.enqueued_bytes += size
         stats._accepts_by_color[packet.color._value_] += 1

@@ -94,10 +94,11 @@ def _population_draws(
         spec.arrival, arrivals_rng, spec.horizon, spec.n_flows
     )
     # per-class constants, resolved once.  bounds[k] is the cumulative
-    # weight through class k; the last is lifted to +inf so a draw that
+    # weight through class k (a left fold, so the total has the same
+    # bits on every Python); the last is lifted to +inf so a draw that
     # rounds up to the total still lands on the last class.
-    total_weight = sum(cls.weight for cls in spec.classes)
     bounds = list(accumulate(cls.weight for cls in spec.classes))
+    total_weight = bounds[-1]
     bounds[-1] = math.inf
     classes = [
         (cls.name, cls.transport, cls.target_bps, cls.record,

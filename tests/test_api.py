@@ -258,32 +258,6 @@ class TestExports:
         assert json.loads(path.read_text()) == payload
 
 
-class TestLegacyResultShim:
-    def test_mapping_result_adapts_raw_dicts(self):
-        records = [
-            RunRecord("legacy", {"x": 1}, {"a": 1.0, "series": [1, 2]}),
-            RunRecord("legacy", {"x": 2}, {"a": 2.0, "series": [3]}),
-        ]
-        with pytest.warns(DeprecationWarning, match="legacy"):
-            rs = ResultSet(records)
-            assert rs.metric_names == ["a"]
-        result = rs.one(x=1)
-        assert isinstance(result, MappingResult)
-        assert result.a == 1.0
-        assert result["a"] == 1.0
-        assert result.payload() == {"series": [1, 2]}
-
-    def test_legacy_warning_fires_once_per_scenario(self):
-        records = [RunRecord("legacy_once", {"x": 1}, {"a": 1.0})]
-        with pytest.warns(DeprecationWarning):
-            ResultSet(records).metric_names
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ResultSet(records).metric_names  # no second warning
-
-
 class TestScenarioResultContract:
     def test_every_registered_scenario_declares_a_result_type(self):
         from repro.harness.registry import list_scenarios
@@ -308,20 +282,32 @@ class TestScenarioResultContract:
         assert "series_bps" not in r.metrics()
         assert r.payload() == {"series_bps": [1.0]}
 
-    def test_registering_without_contract_warns(self):
+    def test_registering_without_contract_raises(self):
         from repro.harness import registry
 
-        def raw_scenario(x: int = 0):
+        def raw_scenario(x: int = 0) -> dict:
             return {"x": x}
 
-        with pytest.warns(DeprecationWarning, match="ScenarioResult"):
+        with pytest.raises(TypeError, match="raw_scenario_for_contract_test"):
             registry.register("raw_scenario_for_contract_test")(raw_scenario)
-        try:
-            spec = registry.get_scenario("raw_scenario_for_contract_test")
-            assert spec.result_type is None
-            # the raw-dict scenario still runs end to end via the shim
-            rs = Experiment(spec).sweep(x=(1, 2)).run()
-            with pytest.warns(DeprecationWarning, match="returned a dict"):
-                assert rs.value("x", x=2) == 2
-        finally:
-            registry._REGISTRY.pop("raw_scenario_for_contract_test", None)
+        assert "raw_scenario_for_contract_test" not in registry._REGISTRY
+
+    def test_mapping_result_splits_metrics_from_payload(self):
+        records = [
+            RunRecord("m", {"x": 1}, MappingResult({"a": 1.0, "series": [1, 2]})),
+            RunRecord("m", {"x": 2}, MappingResult({"a": 2.0, "series": [3]})),
+        ]
+        rs = ResultSet(records)
+        assert rs.metric_names == ["a"]
+        result = rs.one(x=1)
+        assert result.a == 1.0
+        assert result["a"] == 1.0
+        assert result.payload() == {"series": [1, 2]}
+
+    def test_resultset_rejects_a_raw_result_by_scenario(self):
+        records = [
+            RunRecord("typed", {"x": 1}, MappingResult({"a": 1.0})),
+            RunRecord("raw_dict_probe", {"x": 2}, {"a": 2.0}),
+        ]
+        with pytest.raises(TypeError, match="'raw_dict_probe' returned a dict"):
+            ResultSet(records)

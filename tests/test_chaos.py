@@ -503,39 +503,6 @@ class TestCacheQuarantine:
         assert all(r.ok for r in records)
         assert list(cache.glob("*.pkl.corrupt"))
 
-    def test_sqlite_row_quarantined(self, tmp_path, monkeypatch):
-        import sqlite3
-
-        from repro.harness import runner as runner_mod
-
-        db = tmp_path / "results.db"
-        monkeypatch.setenv("REPRO_CACHE", f"sqlite:{db}")
-        run_matrix("chaos_probe", GRID, workers=1, cache_dir=tmp_path)
-        with sqlite3.connect(db) as conn:
-            key = conn.execute("SELECT key FROM results LIMIT 1").fetchone()[0]
-            conn.execute(
-                "UPDATE results SET payload = ? WHERE key = ?",
-                (b"\x00truncated", key),
-            )
-        monkeypatch.setattr(runner_mod, "_QUARANTINE_WARNED", False)
-        with pytest.warns(CorruptCacheWarning):
-            records = run_matrix(
-                "chaos_probe", GRID, workers=1, cache_dir=tmp_path
-            )
-        assert all(r.ok for r in records)
-        assert sum(1 for r in records if not r.cached) == 1
-        with sqlite3.connect(db) as conn:
-            quarantined = conn.execute(
-                "SELECT key, payload FROM quarantine"
-            ).fetchall()
-            assert quarantined == [(key, b"\x00truncated")]
-            # the corrupt row is gone from the live table (replaced by
-            # the recompute's fresh store)
-            fresh = conn.execute(
-                "SELECT payload FROM results WHERE key = ?", (key,)
-            ).fetchone()
-            assert fresh is not None and fresh[0] != b"\x00truncated"
-
     def test_quarantine_warns_once_per_process(self, tmp_path, monkeypatch):
         import warnings as warnings_mod
 

@@ -28,7 +28,7 @@ MODULES = sorted(
     f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
 ) + [
     "repro.traffic.population", "repro.fluid.derive",
-    # modules that import sqlite3 / multiprocessing where used
+    # modules that import multiprocessing where used
     "repro.harness.runner", "repro.harness.pool", "repro.harness.faults",
     "repro.harness.cli", "repro.campaign.store",
 ]

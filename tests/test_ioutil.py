@@ -163,6 +163,7 @@ class TestAdoption:
     def test_resultset_exports_are_atomic(self, tmp_path, monkeypatch):
         from repro.api import resultset as resultset_mod
         from repro.api.resultset import ResultSet
+        from repro.harness.result import MappingResult
         from repro.harness.runner import RunRecord
 
         calls = []
@@ -174,7 +175,8 @@ class TestAdoption:
 
         monkeypatch.setattr(resultset_mod, "atomic_write_text", spy)
         results = ResultSet([
-            RunRecord(scenario="s", params={"seed": 0}, result={"v": 1.0}),
+            RunRecord(scenario="s", params={"seed": 0},
+                      result=MappingResult({"v": 1.0})),
         ])
         results.to_csv(tmp_path / "out.csv")
         results.to_json(tmp_path / "out.json")

@@ -9,19 +9,12 @@ from repro.netem.channels import (
     CompositeChannel,
     GilbertElliottChannel,
     JitterChannel,
-    PerfectChannel,
 )
 from repro.sim.packet import Packet
 
 
 def pkt():
     return Packet(src="a", dst="b", flow_id="f", size=100)
-
-
-class TestPerfect:
-    def test_never_drops_never_delays(self):
-        ch = PerfectChannel()
-        assert all(ch.transit(pkt(), 0.0) == 0.0 for _ in range(100))
 
 
 class TestBernoulli:
@@ -117,12 +110,19 @@ class TestJitter:
 
 class TestComposite:
     def test_delays_accumulate(self):
-        ch = CompositeChannel([PerfectChannel(), JitterChannel(0.0)])
-        assert ch.transit(pkt(), 0.0) == 0.0
+        class FixedDelay:
+            def __init__(self, delay):
+                self.delay = delay
+
+            def transit(self, packet, now):
+                return self.delay
+
+        ch = CompositeChannel([FixedDelay(0.25), JitterChannel(0.0), FixedDelay(0.5)])
+        assert ch.transit(pkt(), 0.0) == 0.75
 
     def test_any_stage_drop_drops(self):
         always_drop = BernoulliLossChannel(0.99, rng=random.Random(0))
-        ch = CompositeChannel([PerfectChannel(), always_drop])
+        ch = CompositeChannel([JitterChannel(0.0), always_drop])
         outcomes = [ch.transit(pkt(), 0.0) for _ in range(100)]
         assert any(o is None for o in outcomes)
 

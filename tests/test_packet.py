@@ -7,7 +7,6 @@ from repro.sim.packet import (
     PacketKind,
     SackFeedbackHeader,
     TfrcDataHeader,
-    total_bytes,
 )
 
 
@@ -38,10 +37,6 @@ class TestPacket:
 
     def test_default_kind_is_data(self):
         assert make_packet().kind is PacketKind.DATA
-
-    def test_total_bytes(self):
-        pkts = [make_packet(size=100), make_packet(size=200)]
-        assert total_bytes(pkts) == 300
 
 
 class TestHeaders:

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.harness.pool import ResilientPool, TaskOutcome, _jitter
+from repro.harness.pool import ResilientPool, TaskOutcome, _jitter, _worker_main
 
 
 def _work(task):
@@ -174,3 +174,32 @@ def test_broken_pipe_on_dispatch_is_repaired(make_pool):
     pool._workers[0].conn.close()  # the next send raises OSError
     assert [o.payload for o in _run(pool, [(0, (0.0, "ok"))])] == ["ok"]
     assert pool.repairs == 1
+
+
+class _InterruptedReplyConn:
+    """A worker's pipe end where SIGTERM lands while the reply is sent."""
+
+    def __init__(self, messages):
+        self.messages = list(messages)
+        self.sent = []
+        self.closed = False
+
+    def recv(self):
+        return self.messages.pop(0)
+
+    def send(self, reply):
+        self.sent.append(reply)
+        raise KeyboardInterrupt("SIGTERM")
+
+    def close(self):
+        self.closed = True
+
+
+def test_sigterm_while_replying_ends_the_worker_quietly():
+    # the worker loop, run in-process: an interrupt raised by send()
+    # leaves the loop and closes the pipe instead of escaping with a
+    # traceback, as an interrupt raised by recv() already does
+    conn = _InterruptedReplyConn([(0, (0.0, "ok")), (1, (0.0, "never"))])
+    _worker_main(conn, _work)
+    assert conn.sent == [(0, "ok", "ok")]
+    assert conn.closed

@@ -11,13 +11,10 @@ import repro
 from repro.harness.cli import main as cli_main
 from repro.harness.registry import get_scenario, list_scenarios
 from repro.harness.runner import (
-    CACHE_ENV,
     RunRecord,
-    SqliteSweepCache,
     SweepCache,
     code_version,
     expand_grid,
-    make_cache,
     run_matrix,
 )
 
@@ -293,82 +290,6 @@ class TestSweepCache:
             cache_dir=cache_dir,
         )
         assert not records[0].cached
-
-
-class TestSqliteSweepCache:
-    GRID = {"mode": ("tfrc",), "lying": (False,)}
-    BASE = dict(duration=2.0, warmup=0.5)
-
-    def test_round_trip_and_shared_key(self, tmp_path):
-        cache = SqliteSweepCache(tmp_path / "results.db")
-        record = RunRecord(
-            scenario="af_assurance",
-            params={"protocol": "tcp", "seed": 0},
-            result={"achieved": 1.0},
-        )
-        assert cache.load(record.scenario, record.params) is None
-        cache.store(record)
-        loaded = cache.load(record.scenario, record.params)
-        assert loaded == record and loaded.cached
-        # both backends hash the identical memo contract
-        assert cache.key("af_assurance", record.params) == SweepCache(
-            tmp_path
-        ).key("af_assurance", record.params)
-
-    def test_env_selects_sqlite_backend(self, tmp_path, monkeypatch):
-        db = tmp_path / "sweep.db"
-        monkeypatch.setenv(CACHE_ENV, f"sqlite:{db}")
-        first = run_matrix(
-            "selfish_receiver", self.GRID, base=self.BASE,
-            cache_dir=tmp_path / "ignored-dir",
-        )
-        assert not first[0].cached
-        assert db.exists()
-        assert not (tmp_path / "ignored-dir").exists()
-        second = run_matrix(
-            "selfish_receiver", self.GRID, base=self.BASE,
-            cache_dir=tmp_path / "ignored-dir",
-        )
-        assert second[0].cached and second == first
-
-    def test_sqlite_file_is_shareable(self, tmp_path, monkeypatch):
-        # a db produced by one "host" (directory) hits from another
-        db = tmp_path / "ci" / "results.db"
-        monkeypatch.setenv(CACHE_ENV, f"sqlite:{db}")
-        run_matrix("selfish_receiver", self.GRID, base=self.BASE,
-                   cache_dir=tmp_path / "a")
-        copied = tmp_path / "elsewhere.db"
-        copied.write_bytes(db.read_bytes())
-        monkeypatch.setenv(CACHE_ENV, f"sqlite:{copied}")
-        records = run_matrix("selfish_receiver", self.GRID, base=self.BASE,
-                             cache_dir=tmp_path / "b")
-        assert records[0].cached
-
-    def test_no_cache_wins_over_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_ENV, f"sqlite:{tmp_path / 'x.db'}")
-        assert make_cache(None) is None
-
-    def test_unset_env_uses_directory_backend(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(CACHE_ENV, raising=False)
-        assert isinstance(make_cache(tmp_path), SweepCache)
-
-    def test_bad_env_values_rejected(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_ENV, "sqlite:")
-        with pytest.raises(ValueError, match="needs a path"):
-            make_cache(tmp_path)
-        monkeypatch.setenv(CACHE_ENV, "redis:localhost")
-        with pytest.raises(ValueError, match="unknown"):
-            make_cache(tmp_path)
-
-    def test_corrupt_blob_is_a_miss(self, tmp_path):
-        import sqlite3
-
-        cache = SqliteSweepCache(tmp_path / "results.db")
-        record = RunRecord(scenario="s", params={"seed": 0}, result=1)
-        cache.store(record)
-        with sqlite3.connect(cache.path) as conn:
-            conn.execute("UPDATE results SET payload = ?", (b"garbage",))
-        assert cache.load("s", {"seed": 0}) is None
 
 
 class TestCli:
@@ -654,165 +575,6 @@ def test_spawn_start_method_matches_serial_and_shuts_down(tmp_path):
     assert done.stderr == ""
 
 
-def _stress_store(args):
-    """Top-level worker: hammer one sqlite cache with stores.
-
-    The tiny connection timeout defeats sqlite's own busy wait, so
-    genuine ``database is locked`` errors surface under contention and
-    the cache's bounded-backoff retry layer has to absorb them — with
-    the default 30 s timeout the stress test never exercised it.
-    """
-    path, worker, n_records = args
-    cache = SqliteSweepCache(path, timeout=0.05)
-    for i in range(n_records):
-        cache.store(
-            RunRecord(
-                scenario="stress",
-                params={"worker": worker, "i": i, "seed": i},
-                result={"value": worker * 1000 + i},
-            )
-        )
-    return worker
-
-
-class TestSqliteConcurrency:
-    def test_concurrent_writers_do_not_corrupt_the_store(self, tmp_path):
-        import multiprocessing
-
-        path = tmp_path / "stress.db"
-        n_procs, n_records = 6, 40
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=n_procs) as pool:
-            done = pool.map(
-                _stress_store,
-                [(path, w, n_records) for w in range(n_procs)],
-            )
-        assert sorted(done) == list(range(n_procs))
-        # every row must be durably present...
-        import sqlite3
-
-        with sqlite3.connect(path, timeout=30.0) as conn:
-            count = conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-        assert count == n_procs * n_records
-        # ...and immediately loadable through the cache API — with the
-        # writers done there is no contention left, and the retry layer
-        # inside load() absorbs any WAL-checkpoint stragglers, so a
-        # miss here is a real bug (PR 4's version of this test allowed
-        # a manual retry loop; the cache now owns that)
-        cache = SqliteSweepCache(path)
-        for worker in range(n_procs):
-            for i in range(n_records):
-                params = {"worker": worker, "i": i, "seed": i}
-                record = cache.load("stress", params)
-                assert record is not None, (worker, i)
-                assert record.result == {"value": worker * 1000 + i}
-                assert record.cached
-
-    def test_store_retries_transient_lock_then_succeeds(self, tmp_path,
-                                                        monkeypatch):
-        import contextlib
-        import sqlite3
-
-        monkeypatch.setattr(SqliteSweepCache, "LOCK_BACKOFF", 0.001)
-        cache = SqliteSweepCache(tmp_path / "locked.db")
-        real_connect = cache._connect
-        attempts = {"n": 0}
-
-        @contextlib.contextmanager
-        def flaky_connect():
-            attempts["n"] += 1
-            if attempts["n"] <= 2:
-                raise sqlite3.OperationalError("database is locked")
-            with real_connect() as conn:
-                yield conn
-
-        cache._connect = flaky_connect
-        record = RunRecord(scenario="s", params={"seed": 0}, result=7)
-        cache.store(record)  # must not raise
-        assert attempts["n"] == 3
-        loaded = cache.load("s", {"seed": 0})
-        assert loaded is not None and loaded.result == 7
-
-    def test_load_retries_transient_lock_then_succeeds(self, tmp_path,
-                                                       monkeypatch):
-        import contextlib
-        import sqlite3
-
-        monkeypatch.setattr(SqliteSweepCache, "LOCK_BACKOFF", 0.001)
-        cache = SqliteSweepCache(tmp_path / "locked.db")
-        cache.store(RunRecord(scenario="s", params={"seed": 1}, result=9))
-        real_connect = cache._connect
-        attempts = {"n": 0}
-
-        @contextlib.contextmanager
-        def flaky_connect():
-            attempts["n"] += 1
-            if attempts["n"] <= 2:
-                raise sqlite3.OperationalError("database is locked")
-            with real_connect() as conn:
-                yield conn
-
-        cache._connect = flaky_connect
-        loaded = cache.load("s", {"seed": 1})
-        assert loaded is not None and loaded.result == 9
-        assert attempts["n"] == 3
-
-    def test_non_lock_operational_errors_are_not_retried(self, tmp_path,
-                                                         monkeypatch):
-        import contextlib
-        import sqlite3
-
-        monkeypatch.setattr(SqliteSweepCache, "LOCK_BACKOFF", 0.001)
-        cache = SqliteSweepCache(tmp_path / "broken.db")
-        attempts = {"n": 0}
-
-        @contextlib.contextmanager
-        def broken_connect():
-            attempts["n"] += 1
-            raise sqlite3.OperationalError("no such table: results")
-            yield  # pragma: no cover
-
-        cache._connect = broken_connect
-        with pytest.raises(sqlite3.OperationalError, match="no such table"):
-            cache.store(
-                RunRecord(scenario="s", params={"seed": 2}, result=1)
-            )
-        assert attempts["n"] == 1  # failed fast, no backoff loop
-
-    def test_persistent_lock_exhausts_retries_and_raises(self, tmp_path,
-                                                         monkeypatch):
-        import contextlib
-        import sqlite3
-
-        monkeypatch.setattr(SqliteSweepCache, "LOCK_BACKOFF", 0.001)
-        cache = SqliteSweepCache(tmp_path / "stuck.db")
-        attempts = {"n": 0}
-
-        @contextlib.contextmanager
-        def stuck_connect():
-            attempts["n"] += 1
-            raise sqlite3.OperationalError("database is locked")
-            yield  # pragma: no cover
-
-        cache._connect = stuck_connect
-        with pytest.raises(sqlite3.OperationalError, match="locked"):
-            cache.store(
-                RunRecord(scenario="s", params={"seed": 3}, result=1)
-            )
-        assert attempts["n"] == SqliteSweepCache.LOCK_RETRIES
-
-    def test_wal_mode_is_enabled(self, tmp_path):
-        import sqlite3
-
-        path = tmp_path / "wal.db"
-        SqliteSweepCache(path).store(
-            RunRecord(scenario="s", params={"seed": 0}, result=1)
-        )
-        with sqlite3.connect(path) as conn:
-            mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
-        assert mode == "wal"
-
-
 class TestWarmPoolRegistryKey:
     def test_scenario_registered_after_fork_retires_the_pool(self):
         # forked workers carry the registry of their fork moment; a
@@ -820,6 +582,7 @@ class TestWarmPoolRegistryKey:
         # KeyError inside a stale worker
         from repro.harness import runner as runner_mod
         from repro.harness.registry import _REGISTRY, register
+        from repro.harness.result import MappingResult
 
         runner_mod.shutdown_warm_pool()
         base = dict(n_cross=1, duration=2.0, warmup=0.5,
@@ -828,11 +591,9 @@ class TestWarmPoolRegistryKey:
                    base=base, workers=2)
         created = runner_mod.warm_pool_stats()["created"]
 
-        with pytest.warns(DeprecationWarning):  # raw-dict return contract
-
-            @register("wp_dynamic_probe", grid={})
-            def wp_dynamic_probe(seed: int = 0) -> dict:
-                return {"seed": seed, "value": seed * 2}
+        @register("wp_dynamic_probe", grid={})
+        def wp_dynamic_probe(seed: int = 0) -> MappingResult:
+            return MappingResult({"seed": seed, "value": seed * 2})
 
         try:
             records = run_matrix("wp_dynamic_probe", {"seed": (0, 1)},

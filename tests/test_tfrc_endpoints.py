@@ -1,11 +1,14 @@
-"""Behavioural tests for the stock RFC 3448 TFRC agents."""
+"""Behavioural tests for stock RFC 3448 TFRC: the ``TFRC_MEDIA`` profile.
+
+The endpoints are the ones every ``tfrc`` flow in a scenario runs:
+``QtpSender`` / ``QtpReceiver`` composed with the ``TFRC_MEDIA`` profile.
+"""
 
 import pytest
 
+from repro.core.instances import TFRC_MEDIA, build_transport_pair
 from repro.metrics.recorder import FlowRecorder
 from repro.sim.engine import Simulator
-from repro.tfrc.receiver import TfrcReceiver
-from repro.tfrc.sender import TfrcSender
 from repro.topo import (
     ChannelSpec,
     QueueSpec,
@@ -17,9 +20,7 @@ from repro.topo import (
 
 
 def tfrc_pair(sim, src, dst, flow="f", recorder=None):
-    snd = TfrcSender(sim, dst=dst.name).attach(src, flow)
-    rcv = TfrcReceiver(sim, recorder=recorder).attach(dst, flow)
-    return snd, rcv
+    return build_transport_pair(sim, src, dst, flow, TFRC_MEDIA, recorder=recorder)
 
 
 class TestSteadyState:
@@ -138,8 +139,9 @@ class TestFeedback:
         snd, rcv = tfrc_pair(sim, net.node("h0"), net.node("h1"))
         snd.start()
         sim.run(until=30)
-        assert 0.001 < rcv.loss_event_rate < 0.2
-        assert snd.controller.p == pytest.approx(rcv.loss_event_rate, rel=0.5)
+        p = rcv.estimator.loss_event_rate()
+        assert 0.001 < p < 0.2
+        assert snd.controller.p == pytest.approx(p, rel=0.5)
 
 
 class TestSmoothness:
