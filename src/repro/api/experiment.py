@@ -277,11 +277,11 @@ class Experiment:
         writer = None
         run_observer = observer
         if self._trace:
-            from repro.harness.runner import SweepCache, spans_path
+            from repro.harness.runner import spans_path
             from repro.obs.spans import SpanWriter
 
             path = (
-                str(spans_path(SweepCache(self._cache_dir), self._spec.name))
+                str(spans_path(self._cache_dir, self._spec.name))
                 if self._cache_dir is not None else None
             )
             writer = SpanWriter(path, header={

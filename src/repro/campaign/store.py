@@ -40,12 +40,11 @@ sound.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.ioutil import atomic_write_json, open_append, read_jsonl, sha256
+from repro.ioutil import Journal, atomic_write_json, read_jsonl, sha256
 from repro.campaign.spec import CampaignError, CampaignSpec
 
 __all__ = [
@@ -301,9 +300,10 @@ class CampaignJournal:
         {"seq": N, "event": "report"}
 
     Each entry is written, flushed and fsync'd before the runner moves
-    on, so a SIGKILL between checkpoints loses nothing and a SIGKILL
-    *during* one loses at most the in-flight line — which the loader
-    skips as torn.  ``resume=True`` validates the existing header and
+    on (a :class:`~repro.ioutil.Journal` with ``fsync="entry"``), so a
+    SIGKILL between checkpoints loses nothing and a SIGKILL *during*
+    one loses at most the in-flight line — which the loader skips as
+    torn.  ``resume=True`` validates the existing header and
     appends; a mismatch (edited spec or code) raises instead of mixing
     incompatible results in one directory.
     """
@@ -320,27 +320,19 @@ class CampaignJournal:
         self.scenarios: Dict[str, Dict[str, Any]] = {}
         self.report_done = False
         self.next_seq = 1
-        self.resumed = False
-        #: set only by write_garbage_line (fault injection in this
-        #: process); a tail torn by an earlier process is open_append's job
-        self._torn_tail = False
-        if resume and self.path.exists():
-            state = self.read(self.path)
-            self._check_header(state["header"])
-            self.scenarios = state["scenarios"]
-            self.report_done = state["report_done"]
-            self.next_seq = state["max_seq"] + 1
-            self._fh = open_append(self.path)
-            self.resumed = True
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("w", encoding="utf-8")
-            self._write_line({
+        self._journal = Journal(
+            self.path,
+            {
                 "journal": self.VERSION,
                 "campaign": campaign,
                 "spec_hash": spec_hash,
                 "code_version": code_version,
-            })
+            },
+            fsync="entry",
+            resume=resume,
+            on_resume=self._resume,
+        )
+        self.resumed = self._journal.resumed
 
     @staticmethod
     def read(path: Union[str, Path]) -> Dict[str, Any]:
@@ -349,11 +341,15 @@ class CampaignJournal:
         Returns ``{"header": dict, "scenarios": {name: last entry},
         "report_done": bool, "max_seq": int}``.
         """
+        return CampaignJournal._fold(read_jsonl(path))
+
+    @staticmethod
+    def _fold(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
         header: Dict[str, Any] = {}
         scenarios: Dict[str, Dict[str, Any]] = {}
         report_done = False
         max_seq = 0
-        for entry in read_jsonl(path):
+        for entry in entries:
             if "journal" in entry and not header:
                 header = entry
                 continue
@@ -371,6 +367,13 @@ class CampaignJournal:
             "report_done": report_done,
             "max_seq": max_seq,
         }
+
+    def _resume(self, entries: List[Dict[str, Any]]) -> None:
+        state = self._fold(entries)
+        self._check_header(state["header"])
+        self.scenarios = state["scenarios"]
+        self.report_done = state["report_done"]
+        self.next_seq = state["max_seq"] + 1
 
     def _check_header(self, header: Mapping[str, Any]) -> None:
         if not header:
@@ -396,26 +399,9 @@ class CampaignJournal:
                 "versions; re-run into a fresh directory"
             )
 
-    def _write_line(self, entry: Mapping[str, Any]) -> None:
-        if self._torn_tail:
-            self._fh.write("\n")  # terminate the torn line first
-            self._torn_tail = False
-        self._fh.write(json.dumps(entry, sort_keys=True, default=repr) + "\n")
-        self._fh.flush()
-        try:
-            os.fsync(self._fh.fileno())
-        except OSError:
-            pass
-
     def write_garbage_line(self) -> None:
         """Simulate a torn write (the ``corrupt`` checkpoint fault)."""
-        self._fh.write('{"seq": ')  # no newline: a genuinely torn entry
-        self._torn_tail = True
-        self._fh.flush()
-        try:
-            os.fsync(self._fh.fileno())
-        except OSError:
-            pass
+        self._journal.tear('{"seq": ')
 
     def record_scenario(self, name: str, status: str, **detail: Any) -> None:
         entry = {
@@ -425,12 +411,12 @@ class CampaignJournal:
             "status": status,
             **detail,
         }
-        self._write_line(entry)
+        self._journal.append(entry)
         self.scenarios[name] = entry
         self.next_seq += 1
 
     def record_report(self) -> None:
-        self._write_line({"seq": self.next_seq, "event": "report"})
+        self._journal.append({"seq": self.next_seq, "event": "report"})
         self.report_done = True
         self.next_seq += 1
 
@@ -439,12 +425,4 @@ class CampaignJournal:
         return None if entry is None else str(entry.get("status"))
 
     def close(self) -> None:
-        try:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except Exception:
-            pass
-        try:
-            self._fh.close()
-        except Exception:
-            pass
+        self._journal.close()

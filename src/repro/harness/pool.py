@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import signal
 import threading
 import time
 import traceback
@@ -56,10 +57,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ioutil import sha256
 
-__all__ = ["ResilientPool", "TaskOutcome"]
+__all__ = ["ResilientPool", "TaskOutcome", "backoff"]
 
 #: Failure kinds a :class:`TaskOutcome` may carry (``None`` = success).
 FAILURE_KINDS = ("error", "crash", "timeout", "invalid")
+
+#: Base delay (seconds) of the exponential retry backoff and its cap
+#: (see :func:`backoff`).
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
 
 
 @dataclass
@@ -89,9 +95,9 @@ def _worker_main(conn, fn) -> None:
     exception object rides along when picklable so strict callers can
     re-raise the original; the string triple always survives.
 
-    A worker forked inside the runner's SIGTERM guard inherits its
-    SIGTERM -> ``KeyboardInterrupt`` handler, so an interrupt while it
-    waits or replies ends the loop quietly, without a traceback.
+    A ``KeyboardInterrupt`` (Ctrl-C reaches the whole process group)
+    while it waits or replies ends the loop quietly, without a
+    traceback.
     """
     while True:
         try:
@@ -126,6 +132,16 @@ def _worker_main(conn, fn) -> None:
         pass
 
 
+def _worker_entry(conn, fn) -> None:
+    """A worker's first frame: the SIGTERM handler it inherited (the
+    runner's SIGTERM -> ``KeyboardInterrupt`` guard) reset to the
+    default, then SIGTERM unblocked (:meth:`ResilientPool._spawn` forks
+    with it blocked), then the task loop."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+    _worker_main(conn, fn)
+
+
 @dataclass
 class _Worker:
     proc: Any
@@ -155,6 +171,27 @@ def _jitter(task_id: int, attempt: int) -> float:
     """Deterministic backoff jitter factor in [0.5, 1.5)."""
     digest = sha256(f"{task_id}:{attempt}".encode()).digest()
     return 0.5 + int.from_bytes(digest[:8], "big") / 2**64
+
+
+def backoff(task_id: int, attempt: int, kind: str,
+            observer: Optional[Callable[[Dict[str, Any]], None]] = None,
+            base: float = BACKOFF_BASE, cap: float = BACKOFF_CAP) -> float:
+    """Seconds before ``task_id`` runs again after its failed ``attempt``.
+
+    ``base * 2**(attempt-1)``, capped at ``cap``, times a deterministic
+    jitter in [0.5, 1.5), announced to ``observer`` as a ``retry`` span
+    event: the one retry rule of the pool and of in-process cells.
+    """
+    delay = min(base * (2 ** (attempt - 1)), cap) * _jitter(task_id, attempt)
+    if observer is not None:
+        observer({
+            "event": "retry",
+            "i": task_id,
+            "attempt": attempt,
+            "kind": kind,
+            "delay": round(delay, 6),
+        })
+    return delay
 
 
 class ResilientPool:
@@ -194,12 +231,18 @@ class ResilientPool:
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
-            target=_worker_main,
+            target=_worker_entry,
             args=(child_conn, self._fn),
             daemon=True,
             name="repro-sweep-worker",
         )
-        proc.start()
+        # held across the fork: a SIGTERM that lands mid-fork is handled
+        # once, by the parent, after the child exists
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
         child_conn.close()
         return _Worker(proc=proc, conn=parent_conn)
 
@@ -258,8 +301,8 @@ class ResilientPool:
         validate: Optional[Callable[[Any, Any], bool]] = None,
         run_timeout: Optional[float] = None,
         max_attempts: int = 1,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
+        backoff_base: float = BACKOFF_BASE,
+        backoff_cap: float = BACKOFF_CAP,
         observer: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         """Execute ``tasks`` (``(task_id, task)`` pairs) to completion.
@@ -523,19 +566,9 @@ class ResilientPool:
         if repair:
             self._repair(worker)
         if state.attempts < max_attempts:
-            delay = min(
-                backoff_base * (2 ** (state.attempts - 1)),
-                backoff_cap,
-            ) * _jitter(task_id, state.attempts)
+            delay = backoff(task_id, state.attempts, kind, observer,
+                            backoff_base, backoff_cap)
             heapq.heappush(ready, (now + delay, next(tiebreak), task_id))
-            if observer is not None:
-                observer({
-                    "event": "retry",
-                    "i": task_id,
-                    "attempt": state.attempts,
-                    "kind": kind,
-                    "delay": round(delay, 6),
-                })
             return
         on_outcome(TaskOutcome(
             task_id=task_id,

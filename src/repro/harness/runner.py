@@ -22,9 +22,12 @@ positional pickling (``RunRecord.__reduce__``).
 Failure semantics (PR 7):
 
 * every run may be retried (``max_retries``) with exponential backoff
-  plus deterministic jitter; a per-run wall-clock ``run_timeout`` reaps
-  hung runs (parallel sections only — a single in-process run cannot
-  preempt itself, so a ``run_timeout`` forces pool execution even for
+  plus deterministic jitter; in-process cells and worker processes
+  share the retry rule (:func:`~repro.harness.pool.backoff`) and the
+  step that files each terminal outcome, so both have the same retry
+  semantics.  A per-run wall-clock ``run_timeout`` reaps hung runs
+  (parallel sections only — a single in-process run cannot preempt
+  itself, so a ``run_timeout`` forces pool execution even for
   ``workers=1``);
 * with ``strict=True`` (the default, and the seed behaviour) the first
   terminal failure raises — the original exception where it survives
@@ -47,8 +50,8 @@ Failure semantics (PR 7):
 Sweep manifest and resume: when caching is enabled, every sweep
 journals per-cell status (``ok``/``failed``) to a
 ``<scenario>.manifest.jsonl`` file next to the memo cache (header:
-grid hash over the exact run list + code version), flushed
-line-by-line so even a SIGKILLed sweep leaves a valid journal.
+grid hash over the exact run list + code version), fsynced
+line by line so even a SIGKILLed sweep leaves a valid journal.
 ``resume=True`` re-opens a matching manifest instead of starting a
 fresh one — a header mismatch (changed grid or code) is an error
 rather than a silent restart — an interrupted or partially failed sweep re-runs only the
@@ -107,10 +110,10 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_bytes, open_append, read_jsonl, sha256
+from repro.ioutil import Journal, atomic_write_bytes, sha256
 
 from repro.harness import faults as faults_mod
-from repro.harness.pool import ResilientPool, TaskOutcome
+from repro.harness.pool import ResilientPool, TaskOutcome, backoff
 from repro.harness.registry import get_scenario
 from repro.harness.result import RunFailure
 
@@ -128,13 +131,6 @@ __all__ = [
     "spans_path",
     "warm_pool_stats",
 ]
-
-#: Base delay (seconds) for the exponential retry backoff; attempt N
-#: waits ``base * 2**(N-1) * jitter`` with deterministic jitter in
-#: [0.5, 1.5), capped at :data:`BACKOFF_CAP`.
-BACKOFF_BASE = 0.05
-BACKOFF_CAP = 2.0
-
 
 class CorruptCacheWarning(UserWarning):
     """A corrupt sweep-cache entry was quarantined and treated as a miss."""
@@ -407,13 +403,15 @@ class SweepManifest:
     sweep identity (scenario, grid hash over the exact run-parameter
     list and ``code_version``, cell count), then one line per completed
     cell — ``{"i": index, "status": "ok"|"failed", ...}`` — appended
-    and flushed as cells finish, so even a hard-killed sweep leaves a
-    valid journal of everything that completed.
+    and fsynced as cells finish (a :class:`~repro.ioutil.Journal` with
+    ``fsync="entry"``), so even a hard-killed sweep leaves a valid
+    journal of everything that completed.
 
     ``resume=True`` re-opens an existing journal whose header matches
     and appends to it; a header mismatch (different grid, edited code)
     is an error rather than a silent restart.  Without ``resume`` the
-    journal is started fresh.
+    journal is started fresh.  Resume decides what to re-run from the
+    memo cache, not from these lines: the journal is for reading.
     """
 
     VERSION = 1
@@ -424,21 +422,18 @@ class SweepManifest:
         self.scenario = scenario
         self.grid_hash = grid_hash
         self.n_cells = n_cells
-        self.statuses: Dict[int, str] = {}
-        self.resumed = False
-        if resume and self.path.exists():
-            self._load_existing()
-            self._fh = open_append(self.path)
-            self.resumed = True
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("w", encoding="utf-8")
-            self._append({
+        self._journal = Journal(
+            self.path,
+            {
                 "manifest": self.VERSION,
                 "scenario": scenario,
                 "grid_hash": grid_hash,
                 "cells": n_cells,
-            })
+            },
+            fsync="entry",
+            resume=resume,
+            on_resume=self._check_header,
+        )
 
     @staticmethod
     def grid_hash_of(scenario: str, run_params: Sequence[Mapping[str, Any]]) -> str:
@@ -450,14 +445,8 @@ class SweepManifest:
         )
         return sha256(payload.encode()).hexdigest()[:16]
 
-    def _load_existing(self) -> None:
-        header: Dict[str, Any] = {}
-        for entry in read_jsonl(self.path):
-            if "manifest" in entry and not header:
-                header = entry
-                continue
-            if "i" in entry and "status" in entry:
-                self.statuses[int(entry["i"])] = entry["status"]
+    def _check_header(self, entries: List[Dict[str, Any]]) -> None:
+        header = next((e for e in entries if "manifest" in e), {})
         mismatch = (
             header.get("scenario") != self.scenario
             or header.get("grid_hash") != self.grid_hash
@@ -473,48 +462,18 @@ class SweepManifest:
                 "the code changed; drop --resume to start fresh"
             )
 
-    def _append(self, entry: Mapping[str, Any]) -> None:
-        self._fh.write(json.dumps(entry, sort_keys=True, default=repr) + "\n")
-        self._fh.flush()
-        # fsync per entry: a hard-killed (or power-cut) orchestrator
-        # loses at most the in-flight line, which the resume loader
-        # already tolerates as a torn final line
-        try:
-            os.fsync(self._fh.fileno())
-        except OSError:
-            pass
-
     def record(self, index: int, status: str, error: str = "") -> None:
-        """Journal one completed cell (flushed immediately)."""
+        """Journal one completed cell (fsynced before this returns)."""
         entry: Dict[str, Any] = {"i": index, "status": status}
         if error:
             entry["error"] = error
-        self._append(entry)
-        self.statuses[index] = status
-
-    def counts(self) -> Dict[str, int]:
-        """``{"ok": N, "failed": M, "pending": K}`` summary."""
-        ok = sum(1 for s in self.statuses.values() if s == "ok")
-        failed = sum(1 for s in self.statuses.values() if s == "failed")
-        return {
-            "ok": ok,
-            "failed": failed,
-            "pending": self.n_cells - ok - failed,
-        }
+        self._journal.append(entry)
 
     def close(self) -> None:
-        try:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except Exception:
-            pass
-        try:
-            self._fh.close()
-        except Exception:
-            pass
+        self._journal.close()
 
 
-def _manifest_path(cache: SweepCache, scenario: str) -> Path:
+def _manifest_path(cache_dir: Path, scenario: str) -> Path:
     """Where the manifest for one sweep lives (next to its memo cache).
 
     One journal per scenario per cache location — deliberately *not*
@@ -523,12 +482,12 @@ def _manifest_path(cache: SweepCache, scenario: str) -> Path:
     grid hash (a silent fresh start on a changed grid would defeat the
     point of asking to resume).
     """
-    return cache.directory / f"{scenario}.manifest.jsonl"
+    return Path(cache_dir) / f"{scenario}.manifest.jsonl"
 
 
-def spans_path(cache: SweepCache, scenario: str) -> Path:
+def spans_path(cache_dir: Path, scenario: str) -> Path:
     """Where a traced sweep's span JSONL lives (next to its manifest)."""
-    return cache.directory / f"{scenario}.spans.jsonl"
+    return Path(cache_dir) / f"{scenario}.spans.jsonl"
 
 
 # ----------------------------------------------------------------------
@@ -600,32 +559,24 @@ def _lease_pool(n_workers: int) -> Tuple[Dict[str, Any], bool]:
         code_version(),
         tuple(spec.name for spec in list_scenarios()),
     )
-    retired = None
     with _WARM_LOCK:
         state = _WARM_POOL
         if state is not None and state["key"] == key:
             state["leases"] += 1
             _WARM_POOL_STATS["reused"] += 1
             return state, False
-        if state is not None and state["leases"] > 0:
-            # another thread is mid-sweep on a differently-keyed pool:
-            # never terminate it from under them
-            _WARM_POOL_STATS["transient"] += 1
-            return {
-                "key": key,
-                "pool": ResilientPool(n_workers, _execute_run,
-                                      on_repair=_count_repair),
-                "leases": 1,
-            }, True
-        _WARM_POOL = None
-        retired = state
         fresh = {
             "key": key,
             "pool": ResilientPool(n_workers, _execute_run,
                                   on_repair=_count_repair),
             "leases": 1,
         }
-        _WARM_POOL = fresh
+        if state is not None and state["leases"] > 0:
+            # another thread is mid-sweep on a differently-keyed pool:
+            # never terminate it from under them
+            _WARM_POOL_STATS["transient"] += 1
+            return fresh, True
+        _WARM_POOL, retired = fresh, state
         _WARM_POOL_STATS["created"] += 1
     if retired is not None:
         retired["pool"].shutdown()
@@ -705,44 +656,6 @@ def _valid_response(task: Tuple[str, Dict[str, Any]], payload: Any) -> bool:
         isinstance(payload, RunRecord)
         and payload.scenario == task[0]
         and payload.params == task[1]
-    )
-
-
-def _failure_record(
-    scenario: str,
-    params: Dict[str, Any],
-    outcome: TaskOutcome,
-) -> RunRecord:
-    """Build the terminal :class:`RunFailure` record for one dead cell."""
-    return RunRecord(
-        scenario=scenario,
-        params=params,
-        result=RunFailure(
-            failure_kind=outcome.failure or "error",
-            error=outcome.error_type,
-            message=outcome.message,
-            attempts=outcome.attempts,
-            elapsed=outcome.elapsed,
-            traceback_lines=tuple(outcome.traceback_text.splitlines()),
-        ),
-        elapsed=outcome.elapsed,
-        attempts=outcome.attempts,
-    )
-
-
-def _raise_strict(
-    scenario: str, params: Dict[str, Any], outcome: TaskOutcome
-) -> None:
-    """Strict mode: re-raise the original exception where possible."""
-    if outcome.exception is not None:
-        raise outcome.exception
-    raise SweepRunError(
-        scenario,
-        params,
-        outcome.failure or "error",
-        outcome.error_type,
-        outcome.message,
-        outcome.attempts,
     )
 
 
@@ -901,7 +814,7 @@ def run_matrix(
     if cache is not None:
         grid_hash = SweepManifest.grid_hash_of(scenario, run_params)
         manifest = SweepManifest(
-            _manifest_path(cache, scenario),
+            _manifest_path(cache_dir, scenario),
             scenario,
             grid_hash,
             len(run_params),
@@ -909,21 +822,104 @@ def run_matrix(
         )
 
     records: List[Optional[RunRecord]] = [None] * len(run_params)
+
+    def file_cell(index: int, record: Optional[RunRecord],
+                  failure: Optional[TaskOutcome] = None) -> None:
+        """File a cell's record, or its last failure: for cache hits and
+        for both executors."""
+        ok = failure is None
+        if not ok:
+            record = RunRecord(
+                scenario=scenario,
+                params=run_params[index],
+                result=RunFailure(
+                    failure_kind=failure.failure or "error",
+                    error=failure.error_type,
+                    message=failure.message,
+                    attempts=failure.attempts,
+                    elapsed=failure.elapsed,
+                    traceback_lines=tuple(failure.traceback_text.splitlines()),
+                ),
+                elapsed=failure.elapsed,
+                attempts=failure.attempts,
+            )
+        records[index] = record
+        if ok and cache is not None and not record.cached:
+            # terminal failures are never cached: a resumed or re-run
+            # sweep must retry them, and the memo must only ever replay
+            # successes.  profile payloads are execution metadata of
+            # THIS run — strip them so a cache hit never replays a
+            # stale profile
+            stats = record.profile
+            if stats is not None:
+                record.profile = None
+            cache.store(record)
+            if stats is not None:
+                record.profile = stats
+        if manifest is not None:
+            if ok:
+                manifest.record(index, "ok")
+            else:
+                manifest.record(index, "failed", error=failure.error_type)
+        if not ok and strict:
+            # the original exception where it survived pickling
+            if failure.exception is not None:
+                raise failure.exception
+            raise SweepRunError(
+                scenario, record.params, record.result.failure_kind,
+                failure.error_type, failure.message, failure.attempts,
+            )
+        if observer is not None:
+            if ok:
+                observer({
+                    "event": "done",
+                    "i": index,
+                    "wall": round(record.elapsed, 6),
+                    "cpu": round(record.cpu, 6),
+                    "worker": record.worker_pid,
+                    "attempts": record.attempts,
+                    "cached": record.cached,
+                })
+            else:
+                observer({
+                    "event": "failed",
+                    "i": index,
+                    "kind": record.result.failure_kind,
+                    "error": record.result.error,
+                    "attempts": record.attempts,
+                    "wall": round(record.elapsed, 6),
+                })
+        if progress is not None:
+            progress(record)
+
     try:
         with _sigterm_as_interrupt():
-            _run_cells(
-                scenario, run_params, records,
-                cache=cache,
-                manifest=manifest,
-                progress=progress,
-                workers=workers,
-                max_retries=max_retries,
-                run_timeout=run_timeout,
-                strict=strict,
-                faults=faults,
-                observer=observer,
-                profile=profile,
-            )
+            misses: List[int] = []
+            for i, params in enumerate(run_params):
+                cached = cache.load(scenario, params) if cache is not None else None
+                if cached is not None:
+                    file_cell(i, cached)
+                else:
+                    misses.append(i)
+            if observer is not None:
+                for i in misses:
+                    observer({"event": "queued", "i": i})
+            n_workers = workers if workers is not None else (os.cpu_count() or 1)
+            # a wall-clock deadline needs a killable worker process, so it
+            # forces pool execution even for a single worker / single task
+            in_process = run_timeout is None and (n_workers <= 1 or len(misses) == 1)
+            if misses and in_process:
+                _run_in_process(
+                    scenario, run_params, misses, file_cell,
+                    max_attempts=max_retries + 1, faults=faults,
+                    profile=profile, observer=observer,
+                )
+            elif misses:
+                _run_in_pool(
+                    scenario, run_params, misses, file_cell, n_workers,
+                    max_attempts=max_retries + 1, run_timeout=run_timeout,
+                    faults=faults, profile=profile, observer=observer,
+                )
     finally:
         if manifest is not None:
             manifest.close()
@@ -931,103 +927,57 @@ def run_matrix(
     return records  # type: ignore[return-value]
 
 
-def _run_cells(
+def _run_in_pool(
     scenario: str,
     run_params: List[Dict[str, Any]],
-    records: List[Optional[RunRecord]],
+    misses: List[int],
+    file_cell: Callable[..., None],
+    n_workers: int,
     *,
-    cache,
-    manifest: Optional[SweepManifest],
-    progress,
-    workers: Optional[int],
-    max_retries: int,
+    max_attempts: int,
     run_timeout: Optional[float],
-    strict: bool,
     faults,
+    profile: bool,
     observer=None,
-    profile: bool = False,
 ) -> None:
-    misses: List[int] = []
-    for i, params in enumerate(run_params):
-        cached = cache.load(scenario, params) if cache is not None else None
-        if cached is not None:
-            _finish(cached, records, i, cache=None, manifest=manifest,
-                    progress=progress, observer=observer)
-        else:
-            misses.append(i)
-    if observer is not None:
-        for i in misses:
-            observer({"event": "queued", "i": i})
-    if not misses:
-        return
-
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
-    # a wall-clock deadline needs a killable worker process, so it
-    # forces pool execution even for a single worker / single task
-    in_process = run_timeout is None and (n_workers <= 1 or len(misses) == 1)
-    if in_process:
-        _run_serial(
-            scenario, run_params, records, misses,
-            cache=cache, manifest=manifest, progress=progress,
-            max_retries=max_retries, strict=strict, faults=faults,
-            observer=observer, profile=profile,
-        )
-        return
-
+    """The pool executor: each miss on a leased warm worker pool."""
     state, transient = _lease_pool(n_workers)
-
-    def on_outcome(outcome: TaskOutcome) -> None:
-        index = outcome.task_id
-        params = run_params[index]
-        if outcome.ok:
-            _finish(outcome.payload, records, index, cache=cache,
-                    manifest=manifest, progress=progress, observer=observer)
-            return
-        if strict:
-            if manifest is not None:
-                manifest.record(index, "failed", error=outcome.error_type)
-            _raise_strict(scenario, params, outcome)
-        _finish(_failure_record(scenario, params, outcome), records, index,
-                cache=cache, manifest=manifest, progress=progress,
-                observer=observer)
-
     try:
         state["pool"].run_tasks(
             [(i, (scenario, run_params[i])) for i in misses],
-            on_outcome=on_outcome,
+            on_outcome=lambda outcome: file_cell(
+                outcome.task_id, outcome.payload,
+                None if outcome.ok else outcome,
+            ),
             make_task=lambda task, attempt: (
                 task[0], task[1], attempt, faults, profile
             ),
             validate=_valid_response,
             run_timeout=run_timeout,
-            max_attempts=max_retries + 1,
-            backoff_base=BACKOFF_BASE,
-            backoff_cap=BACKOFF_CAP,
+            max_attempts=max_attempts,
             observer=observer,
         )
     finally:
         _release_pool(state, transient)
 
 
-def _run_serial(
+def _run_in_process(
     scenario: str,
     run_params: List[Dict[str, Any]],
-    records: List[Optional[RunRecord]],
     misses: List[int],
+    file_cell: Callable[..., None],
     *,
-    cache,
-    manifest: Optional[SweepManifest],
-    progress,
-    max_retries: int,
-    strict: bool,
+    max_attempts: int,
     faults,
+    profile: bool,
     observer=None,
-    profile: bool = False,
 ) -> None:
-    """The in-process path: same retry semantics, no pool, no deadlines.
+    """The in-process executor: the pool's attempt loop, minus the pool.
 
-    Note that an ``exit`` fault here terminates the *calling* process —
-    crash/hang isolation is exactly what worker processes buy.
+    Failed attempts wait the pool's :func:`~repro.harness.pool.backoff`;
+    ``file_cell`` runs outside the attempt's ``try``, so a filing error
+    propagates after one run.  No deadlines, and an ``exit`` fault ends
+    this process: crash and hang isolation is what workers buy.
     """
     for index in misses:
         params = run_params[index]
@@ -1043,15 +993,24 @@ def _run_serial(
                     "worker": os.getpid(),
                 })
             started = time.perf_counter()
-            failure: Optional[TaskOutcome] = None
             try:
                 payload = _execute_run(
                     (scenario, params, attempt, faults, profile)
                 )
+            except KeyboardInterrupt:
+                raise
+            except BaseException as exc:  # noqa: BLE001 - classified here
+                failure = TaskOutcome(
+                    task_id=index,
+                    failure="error",
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                    traceback_text=traceback_mod.format_exc(),
+                    exception=exc,
+                )
+            else:
                 if _valid_response((scenario, params), payload):
-                    _finish(payload, records, index, cache=cache,
-                            manifest=manifest, progress=progress,
-                            observer=observer)
+                    file_cell(index, payload)
                     break
                 failure = TaskOutcome(
                     task_id=index,
@@ -1062,91 +1021,10 @@ def _run_serial(
                         f"validation: {payload!r:.200}"
                     ),
                 )
-            except KeyboardInterrupt:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - classified below
-                failure = TaskOutcome(
-                    task_id=index,
-                    failure="error",
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    traceback_text=traceback_mod.format_exc(),
-                    exception=exc,
-                )
             elapsed += time.perf_counter() - started
-            if attempt <= max_retries:
-                delay = min(
-                    BACKOFF_BASE * (2 ** (attempt - 1)), BACKOFF_CAP
-                ) * 0.5
-                if observer is not None:
-                    observer({
-                        "event": "retry",
-                        "i": index,
-                        "attempt": attempt,
-                        "kind": failure.failure,
-                        "delay": round(delay, 6),
-                    })
-                time.sleep(delay)
-                continue
-            failure.attempts = attempt
-            failure.elapsed = elapsed
-            if strict:
-                if manifest is not None:
-                    manifest.record(index, "failed",
-                                    error=failure.error_type)
-                _raise_strict(scenario, params, failure)
-            _finish(_failure_record(scenario, params, failure), records,
-                    index, cache=cache, manifest=manifest, progress=progress,
-                    observer=observer)
-            break
-
-
-def _finish(
-    record: RunRecord,
-    records: List[Optional[RunRecord]],
-    index: int,
-    *,
-    cache,
-    manifest: Optional[SweepManifest],
-    progress: Optional[Callable[[RunRecord], None]],
-    observer: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> None:
-    records[index] = record
-    if cache is not None and record.ok:
-        # terminal failures are never cached: a resumed or re-run sweep
-        # must retry them, and the memo must only ever replay successes.
-        # profile payloads are execution metadata of THIS run — strip
-        # them so a cache hit never replays a stale profile
-        stats = record.profile
-        if stats is not None:
-            record.profile = None
-        cache.store(record)
-        if stats is not None:
-            record.profile = stats
-    if manifest is not None:
-        if record.ok:
-            manifest.record(index, "ok")
-        else:
-            manifest.record(index, "failed", error=record.result.error)
-    if observer is not None:
-        if record.ok:
-            observer({
-                "event": "done",
-                "i": index,
-                "wall": round(record.elapsed, 6),
-                "cpu": round(record.cpu, 6),
-                "worker": record.worker_pid,
-                "attempts": record.attempts,
-                "cached": record.cached,
-            })
-        else:
-            observer({
-                "event": "failed",
-                "i": index,
-                "kind": record.result.failure_kind,
-                "error": record.result.error,
-                "attempts": record.attempts,
-                "wall": round(record.elapsed, 6),
-            })
-    if progress is not None:
-        progress(record)
+            if attempt >= max_attempts:
+                failure.attempts = attempt
+                failure.elapsed = elapsed
+                file_cell(index, None, failure)
+                break
+            time.sleep(backoff(index, attempt, failure.failure, observer))

@@ -17,11 +17,11 @@ barrier; it is for high-rate writers like the sweep memo cache where a
 lost-on-power-cut entry is merely a cache miss.
 
 The append-only JSONL journals (sweep manifest, span trace, campaign
-checkpoint ledger) share the two pieces that make them survive a
-SIGKILL mid-line: :func:`read_jsonl`, which skips whatever is not a
-whole JSON object, and :func:`open_append`, which never appends onto a
-torn tail.  When and how often a journal flushes or fsyncs stays with
-its writer.
+checkpoint ledger) are each one :class:`Journal`: opened fresh with a
+header or resumed, one line per entry, and one of two durability
+policies.  It survives a SIGKILL mid-line through :func:`read_jsonl`,
+which skips whatever is not a whole JSON object, and
+:func:`open_append`, which never appends onto a torn tail.
 
 :func:`sha256` is the one way the repo hashes: the interpreter's
 built-in SHA-256, so that no process maps OpenSSL's libcrypto for a
@@ -33,12 +33,13 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import IO, Any, Dict, List, Union
+from typing import IO, Any, Callable, Dict, List, Mapping, Optional, Union
 
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
+    "Journal",
     "open_append",
     "read_jsonl",
     "sha256",
@@ -161,6 +162,66 @@ def open_append(path: PathLike) -> IO[str]:
     if torn:
         fh.write("\n")
     return fh
+
+
+class Journal:
+    """One append-only JSONL file: a header line, then one line per entry.
+
+    Started fresh (truncated, ``header`` first) unless ``resume`` finds
+    the file: then its entries go to ``on_resume``, which refuses the
+    resume by raising before anything is opened, and the journal
+    appends, never onto a torn tail; ``resumed`` says which.  ``fsync``
+    is the durability policy: ``"entry"`` fsyncs every line before
+    :meth:`append` returns (a hard kill or a power cut loses at most the
+    line in flight); ``"close"`` flushes every line (a killed process
+    still leaves a valid prefix) and fsyncs once, at :meth:`close`.
+    """
+
+    def __init__(self, path: PathLike, header: Optional[Mapping[str, Any]] = None,
+                 *, fsync: str, resume: bool = False,
+                 on_resume: Optional[Callable[[List[Dict[str, Any]]], None]] = None):
+        if fsync not in ("entry", "close"):
+            raise ValueError(f"fsync must be 'entry' or 'close', got {fsync!r}")
+        self.path = Path(path)
+        self._fsync_each = fsync == "entry"
+        self.resumed = resume and self.path.exists()
+        if self.resumed:
+            if on_resume is not None:
+                on_resume(read_jsonl(self.path))
+            self._fh: Optional[IO[str]] = open_append(self.path)
+        else:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("w", encoding="utf-8")
+            if header is not None:
+                self.append(header)
+
+    def append(self, entry: Mapping[str, Any]) -> None:
+        self._write(json.dumps(entry, sort_keys=True, default=repr))
+
+    def tear(self, fragment: str) -> None:
+        """Write ``fragment`` as a line: a torn entry as it reads once the
+        next writer has ended it (fault injection)."""
+        self._write(fragment)
+
+    def _write(self, line: str) -> None:
+        self._fh.write(line + "\n")
+        self._fh.flush()
+        if self._fsync_each:
+            self._sync()
+
+    def _sync(self) -> None:
+        try:
+            os.fsync(self._fh.fileno())
+        except OSError:  # a filesystem that refuses fsync
+            pass
+
+    def close(self) -> None:
+        """Flush, fsync and close the file (idempotent)."""
+        if self._fh is not None:
+            self._fh.flush()
+            self._sync()
+            self._fh.close()
+            self._fh = None
 
 
 def sha256(data: bytes = b"") -> Any:

@@ -41,12 +41,10 @@ table.
 
 from __future__ import annotations
 
-import json
-import os
 from time import perf_counter
-from typing import Any, Dict, IO, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.ioutil import open_append, read_jsonl
+from repro.ioutil import Journal, read_jsonl
 
 __all__ = [
     "SpanWriter",
@@ -62,7 +60,9 @@ class SpanWriter:
     The writer is itself the observer callable: pass it wherever an
     ``observer=`` hook is accepted.  Events are kept in ``self.events``
     for in-process consumers (``ResultSet.spans``, the ``--trace-summary``
-    table) and appended to ``path`` as JSONL when a path is given.
+    table) and appended to ``path`` as JSONL when a path is given: a
+    :class:`~repro.ioutil.Journal` flushed per event and fsynced once,
+    at :meth:`close`.
     """
 
     def __init__(self, path: Optional[str] = None,
@@ -71,17 +71,12 @@ class SpanWriter:
         self.path = str(path) if path is not None else None
         self.events: List[Dict[str, Any]] = []
         self._t0 = perf_counter()
-        self._fh: Optional[IO[str]] = None
-        if self.path is not None:
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            # append=True continues an earlier invocation's journal
-            # (campaign resume) instead of truncating it
-            if append:
-                self._fh = open_append(self.path)
-            else:
-                self._fh = open(self.path, "w", encoding="utf-8")
+        # append=True continues an earlier invocation's journal
+        # (campaign resume) instead of truncating it
+        self._journal = (
+            Journal(self.path, fsync="close", resume=append)
+            if self.path is not None else None
+        )
         if header is not None:
             self.emit({"event": "sweep", **header})
 
@@ -92,19 +87,12 @@ class SpanWriter:
         entry = dict(event)
         entry["t"] = round(perf_counter() - self._t0, 6)
         self.events.append(entry)
-        if self._fh is not None:
-            self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            self._fh.flush()
+        if self._journal is not None:
+            self._journal.append(entry)
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except OSError:
-                pass
-            self._fh.close()
-            self._fh = None
+        if self._journal is not None:
+            self._journal.close()
 
     def __enter__(self) -> "SpanWriter":
         return self

@@ -47,6 +47,7 @@ from repro.harness.runner import (
     shutdown_warm_pool,
     warm_pool_stats,
 )
+from repro.ioutil import read_jsonl
 
 
 @dataclasses.dataclass
@@ -362,6 +363,64 @@ class TestPoolChaos:
 # ----------------------------------------------------------------------
 # partial results through ResultSet / Experiment
 # ----------------------------------------------------------------------
+class TestBothExecutorsRunOneCellLoop:
+    """In-process cells and pool workers share the attempt loop's rules:
+    the retry delay, and filing a finished cell outside the attempt."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_filing_error_propagates_after_one_run(self, tmp_path, workers):
+        cache = tmp_path / "memo"
+        events, filed = [], []
+
+        def progress(record):
+            filed.append(record.params["seed"])
+            raise ValueError("progress callback fails")
+
+        with pytest.raises(ValueError, match="progress callback fails"):
+            run_matrix(
+                "chaos_probe", GRID, workers=workers, cache_dir=cache,
+                max_retries=2, progress=progress, observer=events.append,
+            )
+        (cell,) = filed  # GRID's index i runs seed i
+        dispatched = [e for e in events if e["event"] == "dispatched"]
+        assert [e["attempt"] for e in dispatched if e["i"] == cell] == [1]
+        assert not [e for e in events if e["event"] == "retry"]
+        (manifest_path,) = cache.glob("*.manifest.jsonl")
+        entries = read_jsonl(manifest_path)[1:]
+        assert [e for e in entries if e["i"] == cell] == [
+            {"i": cell, "status": "ok"}
+        ]
+        assert all(e["status"] == "ok" for e in entries)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_retries_wait_the_same_jittered_delay(self, workers):
+        from repro.harness.pool import _jitter
+
+        base, cap = 0.05, 2.0  # the sweep's retry backoff
+
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="raise", match={"seed": 1}, times=1),
+            FaultSpec(kind="raise", match={"seed": 2}, times=None),
+        ))
+        events = []
+        records = run_matrix(
+            "chaos_probe", GRID, workers=workers, max_retries=2,
+            strict=False, faults=plan, observer=events.append,
+        )
+        assert [r.ok for r in records] == [True, True, False, True]
+        retries = sorted(
+            (e["i"], e["attempt"], e["kind"], e["delay"])
+            for e in events if e["event"] == "retry"
+        )
+        assert retries == [
+            (i, attempt, "error", round(
+                min(base * 2 ** (attempt - 1), cap)
+                * _jitter(i, attempt), 6,
+            ))
+            for i, attempt in [(1, 1), (2, 1), (2, 2)]
+        ]
+
+
 def _partial_resultset() -> ResultSet:
     """Four chaos_probe cells with seed=2 failed terminally."""
     plan = FaultPlan(faults=(
@@ -580,8 +639,9 @@ class TestManifestResume:
         resumed.close()
         again = SweepManifest(path, "s", "h", 4, resume=True)
         again.close()
-        assert again.statuses == {0: "ok", 2: "ok", 3: "ok"}
-        assert again.counts()["pending"] == 1
+        header, *cells = read_jsonl(path)
+        assert header["cells"] == 4
+        assert {e["i"]: e["status"] for e in cells} == {0: "ok", 2: "ok", 3: "ok"}
 
     def test_resume_skips_a_non_object_line_and_adds_no_newline(self, tmp_path):
         path = tmp_path / "s.manifest.jsonl"
@@ -592,7 +652,7 @@ class TestManifestResume:
             fh.write("7\n")  # valid JSON, not an entry
         before = path.read_text()
         resumed = SweepManifest(path, "s", "h", 2, resume=True)
-        assert resumed.statuses == {0: "ok"}
+        assert read_jsonl(path)[1:] == [{"i": 0, "status": "ok"}]
         resumed.record(1, "ok")
         resumed.close()
         assert path.read_text() == before + '{"i": 1, "status": "ok"}\n'

@@ -1,5 +1,6 @@
 """The shared helpers of repro.ioutil: atomic writes, JSONL journals, sha256."""
 
+import ast
 import hashlib
 import json
 import os
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import ioutil
 from repro.ioutil import (
+    Journal,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
@@ -118,6 +121,127 @@ class TestJsonlJournal:
         with open_append(path) as fh:
             fh.write('{"i": 0}\n')
         assert path.read_text() == '{"i": 0}\n'
+
+
+HEADER = {"journal": 1, "name": "j"}
+
+
+class TestJournal:
+    """The one append-only journal the manifest, campaign ledger and span
+    file each hold."""
+
+    def test_fresh_journal_starts_with_its_header(self, tmp_path):
+        path = tmp_path / "deep" / "j.jsonl"  # parent directories are made
+        path.parent.mkdir()
+        path.write_text('{"stale": true}\n')  # fresh truncates
+        journal = Journal(path, HEADER, fsync="entry", resume=False)
+        journal.append({"i": 0, "status": "ok"})
+        journal.close()
+        journal.close()  # idempotent
+        assert not journal.resumed
+        assert path.read_text() == (
+            '{"journal": 1, "name": "j"}\n{"i": 0, "status": "ok"}\n'
+        )
+
+    def test_resume_of_a_missing_file_starts_fresh(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        seen = []
+        journal = Journal(path, HEADER, fsync="close", resume=True,
+                          on_resume=seen.append)
+        journal.close()
+        assert not journal.resumed and seen == []
+        assert read_jsonl(path) == [HEADER]
+
+    def test_resume_after_a_torn_tail_keeps_the_next_entry(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        Journal(path, HEADER, fsync="entry").close()
+        with path.open("a") as fh:
+            fh.write('{"i": 0, "sta')  # a writer killed mid-line
+        seen = []
+        journal = Journal(path, {"ignored": 1}, fsync="entry", resume=True,
+                          on_resume=seen.append)
+        journal.append({"i": 1})
+        journal.close()
+        assert journal.resumed
+        assert seen == [[HEADER]]
+        assert path.read_text() == (
+            '{"journal": 1, "name": "j"}\n{"i": 0, "sta\n{"i": 1}\n'
+        )
+
+    def test_a_non_object_line_is_skipped_and_no_newline_added(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        Journal(path, HEADER, fsync="entry").close()
+        with path.open("a") as fh:
+            fh.write("7\n")  # valid JSON, not an entry
+        before = path.read_text()
+        seen = []
+        journal = Journal(path, HEADER, fsync="entry", resume=True,
+                          on_resume=seen.append)
+        journal.append({"i": 0})
+        journal.close()
+        assert seen == [[HEADER]]
+        assert path.read_text() == before + '{"i": 0}\n'
+
+    def test_a_refused_resume_opens_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "j.jsonl"
+        Journal(path, HEADER, fsync="entry").close()
+        with path.open("a") as fh:
+            fh.write('{"i": 0')
+        before = path.read_bytes()
+        opened = []
+        monkeypatch.setattr(ioutil, "open_append", opened.append)
+
+        def refuse(entries):
+            raise ValueError("cannot resume: not this journal")
+
+        with pytest.raises(ValueError, match="cannot resume"):
+            Journal(path, HEADER, fsync="entry", resume=True, on_resume=refuse)
+        assert opened == []
+        assert path.read_bytes() == before
+
+    def test_a_torn_fragment_ends_before_the_next_entry(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = Journal(path, HEADER, fsync="entry")
+        journal.tear('{"seq": ')
+        journal.append({"seq": 1})
+        journal.close()
+        assert path.read_text().splitlines()[1:] == ['{"seq": ', '{"seq": 1}']
+        assert read_jsonl(path) == [HEADER, {"seq": 1}]
+
+    @pytest.mark.parametrize("fsync, expected", [("entry", 3 + 2), ("close", 1)])
+    def test_fsync_count_is_the_policy(self, tmp_path, monkeypatch, fsync,
+                                       expected):
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(real(fd)))
+        journal = Journal(tmp_path / "j.jsonl", HEADER, fsync=fsync)
+        for i in range(3):
+            journal.append({"i": i})
+        journal.close()
+        assert len(calls) == expected
+
+    def test_policy_is_one_of_two(self, tmp_path):
+        with pytest.raises(ValueError, match="fsync"):
+            Journal(tmp_path / "j.jsonl", fsync="group")
+        assert not (tmp_path / "j.jsonl").exists()
+
+    def test_only_ioutil_fsyncs_or_appends(self):
+        # one journal: no other module opens a journal or fsyncs by hand
+        root = Path(repro.__file__).resolve().parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "ioutil.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("fsync", "open_append"):
+                    offenders.append(
+                        f"{path.relative_to(root)}:{node.lineno} {name}"
+                    )
+        assert offenders == []
 
 
 class TestSha256:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing.connection
 import pickle
+import signal
 import time
 
 import pytest
@@ -203,3 +204,27 @@ def test_sigterm_while_replying_ends_the_worker_quietly():
     _worker_main(conn, _work)
     assert conn.sent == [(0, "ok", "ok")]
     assert conn.closed
+
+
+def _sigterm_disposition(_task):
+    """In the worker: (SIGTERM handler is the default, SIGTERM is blocked)."""
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    return (
+        signal.getsignal(signal.SIGTERM) is signal.SIG_DFL,
+        signal.SIGTERM in blocked,
+    )
+
+
+def test_worker_forked_inside_the_sigterm_guard_takes_sigterm_by_default():
+    # the runner forks its pool inside its SIGTERM -> KeyboardInterrupt
+    # guard; a worker that kept that handler would raise in the middle of
+    # its own start-up for a SIGTERM that was sent to the parent
+    from repro.harness.runner import _sigterm_as_interrupt
+
+    with _sigterm_as_interrupt():
+        pool = ResilientPool(1, _sigterm_disposition)
+        assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    try:
+        assert [o.payload for o in _run(pool, [(0, None)])] == [(True, False)]
+    finally:
+        pool.shutdown()
