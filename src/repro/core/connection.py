@@ -49,6 +49,11 @@ class Responder(Agent):
         (recorder, meter, on_deliver, ...).
     """
 
+    __slots__ = (
+        "capabilities", "on_established", "receiver_kwargs", "receiver",
+        "profile",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -116,6 +121,12 @@ class Initiator(Agent):
     sender_kwargs: extra arguments for :class:`QtpSender` (bulk, ...).
     on_failed: callback ``fn(reason)`` on reject/exhaustion.
     """
+
+    __slots__ = (
+        "dst", "capabilities", "on_established", "on_failed",
+        "sender_kwargs", "auto_start", "sender", "profile", "attempts",
+        "_rtx",
+    )
 
     def __init__(
         self,

@@ -40,6 +40,11 @@ class SenderLossEstimator:
         reports it alongside the receiver meters to show the shift.
     """
 
+    __slots__ = (
+        "meter", "segment_size", "history", "_last_event_seq",
+        "_last_event_time", "_highest_acked", "losses_seen",
+    )
+
     def __init__(self, segment_size: int = 1000, meter: Optional[CostMeter] = None):
         self.meter = meter or NullMeter()
         self.segment_size = segment_size

@@ -13,7 +13,7 @@ experiment T3 compares across compositions.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.core.profile import ReliabilityMode, TransportProfile
 from repro.core.qtplight import LyingFeedbackFilter
@@ -53,6 +53,15 @@ class QtpReceiver(Agent):
         delivery semantics (ordered when reliability is on).
     feedback_filter: optional selfish-receiver mangler (experiment T4).
     """
+
+    __slots__ = (
+        "profile", "recorder", "meter", "on_deliver", "feedback_filter",
+        "sack_state", "estimator", "_buffer", "_gap_timer",
+        "_feedback_timer", "_pool", "_peer", "_rtt_hint", "_segment_size",
+        "_last_data_ts", "_last_data_arrival", "_bytes_since_feedback",
+        "_last_feedback_time", "_x_recv", "received_packets",
+        "feedback_sent", "app_delivered",
+    )
 
     def __init__(
         self,
@@ -101,7 +110,6 @@ class QtpReceiver(Agent):
         self.received_packets = 0
         self.feedback_sent = 0
         self.app_delivered = 0
-        self.app_latencies: List[float] = []
 
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
@@ -158,7 +166,6 @@ class QtpReceiver(Agent):
 
     def _deliver_app(self, packet: Packet) -> None:
         self.app_delivered += 1
-        self.app_latencies.append(self.sim.now - packet.created_at)
         if self.on_deliver is not None:
             self.on_deliver(packet)
         if self._pool is not None:

@@ -66,6 +66,17 @@ class QtpSender(Agent):
         Explicitly queued messages are not budgeted.
     """
 
+    __slots__ = (
+        "dst", "profile", "bulk", "controller", "policy", "scoreboard",
+        "estimator", "_app_queue", "size_bytes", "_new_bytes_sent",
+        "completed_at", "on_complete", "next_seq", "sent_packets",
+        "sent_bytes", "retransmissions", "abandoned", "feedback_received",
+        "_running", "_send_event", "_nofeedback", "_pool",
+        "_x_recv_sender", "_forward_cache", "_last_send_time",
+        "_audit_enabled", "_skipped", "_audit_rng", "_next_audit_seq",
+        "cheater_detected", "_sent_bytes_at_last_fb",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -107,7 +118,6 @@ class QtpSender(Agent):
         self._send_event = None
         self._nofeedback = Timer(sim, self._on_nofeedback)
         self._pool = PacketPool.of(sim)
-        self._last_feedback_arrival: Optional[float] = None
         self._x_recv_sender = 0.0
         self._forward_cache = 0
         self._last_send_time = 0.0
@@ -124,7 +134,6 @@ class QtpSender(Agent):
         )
         self.cheater_detected = False
         self._sent_bytes_at_last_fb = 0
-        self.rate_log: list[tuple[float, float]] = []
 
     @staticmethod
     def _build_controller(profile: TransportProfile) -> TfrcRateController:
@@ -432,8 +441,6 @@ class QtpSender(Agent):
                 self.abandoned += 1
 
     def _after_feedback(self) -> None:
-        self._last_feedback_arrival = self.sim.now
-        self.rate_log.append((self.sim.now, self.controller.rate))
         self._nofeedback.restart(self.controller.nofeedback_interval())
         self._reschedule_tick()
         # ack-based completion: this feedback may have drained the last
@@ -444,7 +451,6 @@ class QtpSender(Agent):
         if not self._running:
             return
         self.controller.on_nofeedback_timeout(self.sim.now)
-        self.rate_log.append((self.sim.now, self.controller.rate))
         self._nofeedback.restart(self.controller.nofeedback_interval())
 
     # ------------------------------------------------------------------

@@ -26,6 +26,8 @@ class _ShadowReceiver(QtpReceiver):
     the sender-side estimate is compared against.
     """
 
+    __slots__ = ("shadow",)
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.shadow = LossEventEstimator()

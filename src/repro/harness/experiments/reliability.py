@@ -80,19 +80,22 @@ def reliability_scenario(
         partial_max_retx=2,
     )
     playout = PlayoutBuffer()
+    latencies: list[float] = []
+
+    def on_deliver(pkt) -> None:
+        latencies.append(sim.now - pkt.created_at)
+        playout.deliver(pkt, sim.now)
+
     rec = FlowRecorder()
     snd, rcv = build_transport_pair(
         sim, net.node("h0"), net.node("h1"), "media", profile,
-        recorder=rec,
-        on_deliver=lambda pkt: playout.deliver(pkt, sim.now),
-        bulk=False,
+        recorder=rec, on_deliver=on_deliver, bulk=False,
     )
     source = MediaSource(
         sim, snd, fps=25.0, playout_delay=playout_delay
     )
     source.start()
     sim.run(until=duration)
-    latencies = rcv.app_latencies
     latencies_sorted = sorted(latencies)
     p95 = (
         latencies_sorted[int(0.95 * (len(latencies_sorted) - 1))]

@@ -28,6 +28,8 @@ class CostMeter:
     peak_bytes: high-water mark of ``resident_bytes``.
     """
 
+    __slots__ = ("name", "ops", "events", "resident_bytes", "peak_bytes")
+
     def __init__(self, name: str = ""):
         self.name = name
         self.ops = 0
@@ -78,6 +80,8 @@ class CostMeter:
 
 class NullMeter(CostMeter):
     """A meter that ignores charges (default when accounting is off)."""
+
+    __slots__ = ()
 
     def charge(self, ops: int = 1) -> None:  # noqa: D102 - see base
         pass

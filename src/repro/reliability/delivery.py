@@ -25,6 +25,11 @@ class DeliveryBuffer:
         (``None`` = wait forever, i.e. full reliability).
     """
 
+    __slots__ = (
+        "deliver", "gap_timeout", "next_seq", "_pending", "_gap_started",
+        "delivered", "skipped", "duplicates",
+    )
+
     def __init__(
         self,
         deliver: Callable[[Packet], None],

@@ -28,6 +28,11 @@ class ReceiverSackState:
         Cost meter charged for per-packet work (experiment T3).
     """
 
+    __slots__ = (
+        "meter", "cum_ack", "_starts", "_ends", "_recency", "_touch",
+        "received", "duplicates", "received_bytes", "max_seq",
+    )
+
     def __init__(self, meter: Optional[CostMeter] = None):
         self.meter = meter or NullMeter()
         self.cum_ack = -1  # highest seq with everything before it received

@@ -75,6 +75,12 @@ class FeedbackDigest:
 class SenderScoreboard:
     """Outstanding-packet state machine driven by SACK feedback."""
 
+    __slots__ = (
+        "dupack_threshold", "_outstanding", "_highest_seq", "_sacked",
+        "_pipe", "_retx_pending", "cum_ack", "high_sacked", "total_sent",
+        "total_acked", "total_lost", "total_retx",
+    )
+
     def __init__(self, dupack_threshold: int = DUPSACK_THRESHOLD):
         if dupack_threshold < 1:
             raise ValueError("dupack threshold must be >= 1")

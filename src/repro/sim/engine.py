@@ -355,6 +355,8 @@ class Timer:
         t.stop()
     """
 
+    __slots__ = ("_sim", "_callback", "_event", "_spare")
+
     def __init__(self, sim: Simulator, callback: Callable[[], None]):
         self._sim = sim
         self._callback = callback

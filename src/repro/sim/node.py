@@ -113,7 +113,14 @@ class Agent:
 
     Subclasses implement :meth:`receive`; :meth:`attach` wires the agent
     to a node under a flow id, and :meth:`send` injects packets.
+
+    Agents exist once per flow endpoint, so the base class and every
+    transport subclass declare ``__slots__``: an instance carries its
+    fields and no ``__dict__`` (a subclass without its own
+    ``__slots__`` would bring the dict back).
     """
+
+    __slots__ = ("sim", "node", "flow_id")
 
     def __init__(self, sim: Simulator):
         self.sim = sim

@@ -33,6 +33,12 @@ class TcpReceiver(Agent):
         ACKed immediately, per RFC 5681).
     """
 
+    __slots__ = (
+        "recorder", "sack", "delayed_ack", "sack_block_limit", "state",
+        "_pool", "_peer", "_delack_pending", "_delack_timer",
+        "_last_data_ts", "acks_sent", "received_segments",
+    )
+
     def __init__(
         self,
         sim: Simulator,

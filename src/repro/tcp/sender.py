@@ -45,6 +45,15 @@ class TcpSender(Agent):
         hook).  ``None`` keeps the historical unbounded bulk sender.
     """
 
+    __slots__ = (
+        "dst", "segment_size", "newreno", "sack", "cwnd", "initial_cwnd",
+        "ssthresh", "max_cwnd", "snd_una", "snd_nxt", "_dup_acks",
+        "_in_recovery", "_recover", "rto", "_rto_timer", "_retransmitted",
+        "scoreboard", "_pool", "_running", "_max_segments", "size_bytes",
+        "completed_at", "on_complete", "sent_segments", "retransmissions",
+        "timeouts", "fast_retransmits",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -89,7 +98,6 @@ class TcpSender(Agent):
         self.retransmissions = 0
         self.timeouts = 0
         self.fast_retransmits = 0
-        self.cwnd_log: list[tuple[float, float]] = []
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -219,7 +227,6 @@ class TcpSender(Agent):
         elif ack == self.snd_una and self.flight_size > 0:
             self._on_dup_ack()
         self._fill_window()
-        self.cwnd_log.append((self.sim.now, self.cwnd))
         if self._pool is not None:  # ACK fully consumed: recycle
             self._pool.release(packet)
 

@@ -50,6 +50,10 @@ class GtfrcRateController(TfrcRateController):
         floor (the equation may still allow more).
     """
 
+    __slots__ = (
+        "target_rate", "p_scaling", "floor_cap_factor", "floor_activations",
+    )
+
     def __init__(
         self,
         target_rate: float,

@@ -42,6 +42,11 @@ class LossIntervalHistory:
     only when that lowers the resulting loss event rate, per §5.4.
     """
 
+    __slots__ = (
+        "weights", "n", "_wsum", "_intervals", "open_interval", "meter",
+        "events",
+    )
+
     def __init__(
         self,
         weights=RFC3448_WEIGHTS,
@@ -183,6 +188,13 @@ class LossEventEstimator:
         Safety bound on sequence gaps tracked per packet; beyond it the
         gap is treated as a restart rather than that many losses.
     """
+
+    __slots__ = (
+        "meter", "history", "first_interval_fn", "max_gap", "max_seq",
+        "_pending", "_pending_count", "packets_received", "duplicates",
+        "reordered_recoveries", "confirmed_losses", "_last_event_seq",
+        "_last_event_time",
+    )
 
     def __init__(
         self,

@@ -35,6 +35,12 @@ class TfrcRateController:
         seconds (§4.2 mandates starting at one packet per second).
     """
 
+    __slots__ = (
+        "s", "rtt", "rate", "p", "x_recv", "_t_last_double",
+        "_had_first_feedback", "feedback_count", "timeout_count",
+        "oscillation_damping", "_rtt_sqmean", "_last_rtt_sample",
+    )
+
     def __init__(
         self,
         segment_size: int = 1000,

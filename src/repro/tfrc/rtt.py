@@ -16,6 +16,8 @@ class RttEstimator:
     ``R <- q*R + (1-q)*sample`` with ``q = 0.9`` (RFC 3448 default).
     """
 
+    __slots__ = ("q", "rtt")
+
     def __init__(self, q: float = 0.9, initial: Optional[float] = None):
         if not 0.0 <= q < 1.0:
             raise ValueError("q must be in [0, 1)")
@@ -51,6 +53,8 @@ class RtoEstimator:
     RTO (the RFC says 1 s; simulations conventionally use a smaller
     floor) and binary exponential backoff.
     """
+
+    __slots__ = ("min_rto", "max_rto", "srtt", "rttvar", "_backoff")
 
     def __init__(self, min_rto: float = 0.2, max_rto: float = 60.0):
         self.min_rto = min_rto

@@ -706,10 +706,12 @@ class TestManifestResume:
         env = {**os.environ,
                "PYTHONPATH": str(Path("src").resolve()),
                "PYTHONUNBUFFERED": "1"}
+        # its own session: the sweep's pool workers join its process
+        # group, so one killpg below also reaches any that outlive it
         proc = subprocess.Popen(
             [sys.executable, str(script), str(cache), "first"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True,
+            text=True, start_new_session=True,
         )
         try:
             # wait until the fast cells have been journaled
@@ -726,9 +728,14 @@ class TestManifestResume:
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=60)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
+            # a worker still holding the stdout pipe would block a bare
+            # communicate() forever: kill the whole group, then drain
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the group has already exited
+            if proc.returncode is None:
+                proc.communicate(timeout=30)
         assert "INTERRUPTED" in out, out
         (manifest_path,) = cache.glob("*.manifest.jsonl")
         statuses = [

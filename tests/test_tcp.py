@@ -74,13 +74,15 @@ class TestCleanPath:
 
 
 class TestLossRecovery:
-    def lossy_run(self, sack, seed=5, loss=0.02, duration=30):
+    def lossy_run(self, sack, seed=5, loss=0.02, duration=30, probe=None):
         sim = Simulator(seed=seed)
         lossy = ChannelSpec(kind="bernoulli", loss_rate=loss, rng_stream="l")
         shape = chain_spec(1, rate_bps=4e6, delay=0.02, channel=lossy)
         net = build(sim, ScenarioSpec("t", shape)).net
         rec = FlowRecorder()
         snd, rcv = tcp_pair(sim, net.node("h0"), net.node("h1"), "f", rec, sack=sack)
+        if probe is not None:
+            probe(sim, snd)
         snd.start()
         sim.run(until=duration)
         return snd, rcv, rec
@@ -106,9 +108,18 @@ class TestLossRecovery:
         assert rec.mean_rate_bps(10, 40) > 1e4  # but the flow survives
 
     def test_cwnd_halves_on_fast_retransmit(self):
-        snd, _, _ = self.lossy_run(sack=False, loss=0.01)
-        drops = [c for _, c in snd.cwnd_log]
-        assert min(drops) < max(drops) / 2  # sawtooth visible
+        samples = []
+
+        def sample_cwnd(sim, snd):
+            # the sender keeps no window history: read it every 10 ms
+            def tick():
+                samples.append(snd.cwnd)
+                sim.schedule(0.01, tick)
+
+            sim.schedule(0.0, tick)
+
+        self.lossy_run(sack=False, loss=0.01, probe=sample_cwnd)
+        assert min(samples) < max(samples) / 2  # sawtooth visible
 
 
 class TestReceiver:
