@@ -1,25 +1,17 @@
 """Application traffic models.
 
-Sources drive a :class:`~repro.core.sender.QtpSender` in media-limited
-mode (``bulk=False``), enqueueing messages on their own schedule:
-
-* :class:`CbrSource` — constant bit rate datagrams;
-* :class:`OnOffSource` — exponential on/off bursts (cross traffic);
-* :class:`MediaSource` — an MPEG-like I/P/B frame generator with
-  per-frame playout deadlines, the paper's multimedia workload;
-* :class:`PoissonSource` — Poisson datagram arrivals.
+:class:`MediaSource` drives a :class:`~repro.core.sender.QtpSender` in
+media-limited mode (``bulk=False``): an MPEG-like I/P/B frame generator
+with per-frame playout deadlines, the paper's multimedia workload.
 
 :class:`PlayoutBuffer` models the receiving application: frames that
 miss their deadline are useless even if delivered.
 """
 
-from repro.apps.sources import CbrSource, MediaSource, OnOffSource, PoissonSource
+from repro.apps.sources import MediaSource
 from repro.apps.playout import PlayoutBuffer
 
 __all__ = [
-    "CbrSource",
-    "OnOffSource",
     "MediaSource",
-    "PoissonSource",
     "PlayoutBuffer",
 ]

@@ -23,10 +23,9 @@ Module map
     The two doors from a population to a fluid background.  Door 1
     derives it from the population itself, streaming the population's
     own draws into the profile without building a flow:
-    :func:`background_from_population` (``PopulationSpec`` →
-    ``BackgroundLoadSpec``) and :func:`add_population_background`
-    (foreground-only ``ScenarioSpec`` → the same plus that background
-    on the bottlenecks).  Door 2, :func:`hybridize`, transforms a
+    :func:`add_population_background` (foreground-only
+    ``ScenarioSpec`` → the same plus that background on the
+    bottlenecks).  Door 2, :func:`hybridize`, transforms a
     ``ScenarioSpec`` that already holds the expanded flows into
     packet-level foreground + fluid background.
 
@@ -57,7 +56,6 @@ from repro.fluid.specs import BACKGROUND_KINDS, BackgroundLoadSpec  # noqa: F401
 #: interpreter.
 _DERIVE_NAMES = (
     "add_population_background",
-    "background_from_population",
     "background_from_population_flows",
     "hybridize",
 )
@@ -75,7 +73,6 @@ __all__ = [
     "BackgroundLoadSpec",
     "FluidSource",
     "add_population_background",
-    "background_from_population",
     "background_from_population_flows",
     "hybridize",
 ]

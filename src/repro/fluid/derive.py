@@ -7,15 +7,15 @@ the same function of ``(population, seed)`` — one draw loop
 tests hold their outputs equal.
 
 Door 1 — derive from the population
-    :func:`background_from_population` (``PopulationSpec ->
-    BackgroundLoadSpec(kind="population")``) streams the population's
-    draws straight into the profile: every arrival is drawn exactly as
-    a full-fidelity expansion would draw it, contributes its ``(start,
-    size_bytes)`` deposit and is gone, so memory is O(epochs), not
-    O(flows).  :func:`add_population_background` attaches that
-    background to a *foreground-only* scenario.  Use this door when the
-    background never needs to exist as packet flows — what the
-    registered ``hybrid_flash_crowd`` scenario does for its 100k users.
+    :func:`add_population_background` attaches a
+    ``BackgroundLoadSpec(kind="population")`` to a *foreground-only*
+    scenario, streaming the population's draws straight into the
+    profile: every arrival is drawn exactly as a full-fidelity
+    expansion would draw it, contributes its ``(start, size_bytes)``
+    deposit and is gone, so memory is O(epochs), not O(flows).  Use
+    this door when the background never needs to exist as packet flows
+    — what the registered ``hybrid_flash_crowd`` scenario does for its
+    100k users.
 
 Door 2 — transform a spec you already hold
     :func:`hybridize` (``ScenarioSpec -> ScenarioSpec``) splits an
@@ -56,35 +56,6 @@ from repro.traffic.specs import FlowClassSpec, PopulationSpec
 BOTTLENECK_QUEUE_KINDS = ("red", "rio")
 
 
-def background_from_population(
-    population: PopulationSpec,
-    seed: int,
-    epoch: float = 0.05,
-    per_flow_rate_bps: Optional[float] = None,
-    classes: Optional[Tuple[str, ...]] = None,
-    **spec_kwargs,
-) -> BackgroundLoadSpec:
-    """Derive a fluid background spec from a generated population.
-
-    Streams the draws of ``(population, seed)`` — the ones
-    :func:`~repro.traffic.population.expand_population` would wrap in
-    ``FlowSpec``s — into the offered-load profile without building a
-    flow.  ``classes`` restricts the derivation to the named flow
-    classes (default: all of them); the other classes' arrivals are
-    still drawn, so the selected ones are the flows a full expansion
-    yields.  ``per_flow_rate_bps`` spreads each flow's bytes at that
-    pacing rate; ``None`` or ``0`` deposits them in the arrival epoch,
-    a negative rate raises ``ValueError``.  Extra keyword arguments
-    pass through to :class:`BackgroundLoadSpec` (``mean_pkt_bytes``,
-    ``min_foreground_share``, ...).
-    """
-    _, selected = _select_classes(population, classes)
-    return _population_background(
-        _population_deposits(population, seed, selected),
-        epoch, per_flow_rate_bps, **spec_kwargs,
-    )
-
-
 def add_population_background(
     spec: ScenarioSpec,
     population: PopulationSpec,
@@ -99,14 +70,23 @@ def add_population_background(
     """Attach a population's fluid background to a foreground-only spec.
 
     Door 1 as a scenario transform: ``spec`` holds only the flows that
-    stay packet-level, and the background of
-    :func:`background_from_population(population, seed, ...)
-    <background_from_population>` lands on the ``at`` links (default:
-    every RED/RIO bottleneck) — the spec :func:`hybridize` returns for
-    ``spec`` plus the expanded population, without that expansion ever
-    existing.  A ``spec`` that already carries a flow of a selected
-    class would have it counted twice, packet-level and fluid, and is
-    refused: that caller wants :func:`hybridize`.
+    stay packet-level, and the draws of ``(population, seed)`` — the
+    ones :func:`~repro.traffic.population.expand_population` would wrap
+    in ``FlowSpec``s — are binned into a background that lands on the
+    ``at`` links (default: every RED/RIO bottleneck).  The result is
+    the spec :func:`hybridize` returns for ``spec`` plus the expanded
+    population, without that expansion ever existing.
+
+    ``classes`` restricts the background to the named flow classes
+    (default: all of them); the other classes' arrivals are still
+    drawn, so the selected ones are the flows a full expansion yields.
+    ``per_flow_rate_bps`` spreads each flow's bytes at that pacing
+    rate; ``None`` or ``0`` deposits them in the arrival epoch, a
+    negative rate raises ``ValueError``.  Extra keyword arguments pass
+    through to :class:`BackgroundLoadSpec` (``mean_pkt_bytes``,
+    ``min_foreground_share``, ...).  A ``spec`` that already carries a
+    flow of a selected class would have it counted twice, packet-level
+    and fluid, and is refused: that caller wants :func:`hybridize`.
     """
     known, selected = _select_classes(population, classes)
     for flow in spec.flows:

@@ -147,7 +147,7 @@ class BackgroundLoadSpec:
             if self.profile is None:
                 raise ValueError(
                     "population background requires a profile "
-                    "(see repro.fluid.derive.background_from_population)"
+                    "(see repro.fluid.derive.add_population_background)"
                 )
             # written so that nan (every comparison false) is rejected
             if not all(0 <= b < math.inf for b in self.profile):

@@ -438,22 +438,28 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    from repro.obs.metrics import enable_metrics, registry
+    from repro.obs.metrics import (
+        disable_metrics,
+        enable_metrics,
+        registry,
+        reset_metrics,
+    )
 
-    # enable BEFORE any simulator is built so engine/link harvesting is
+    # the export covers this sweep only, and the plane is off again on
+    # return, so an in-process caller's later simulators stay unhooked.
+    # Enable BEFORE any simulator is built so engine/link harvesting is
     # armed for the in-process runs; worker processes publish through
     # the sweep-level harvest either way
+    reset_metrics()
     enable_metrics()
     try:
         experiment = _build_experiment(spec, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         results = experiment.run(on_failure="keep")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        disable_metrics()
     if args.output_format == "prometheus":
         print(registry().to_prometheus(), end="")
     else:

@@ -132,11 +132,19 @@ def _worker_main(conn, fn) -> None:
         pass
 
 
-def _worker_entry(conn, fn) -> None:
+def _worker_entry(conn, fn, inherited=()) -> None:
     """A worker's first frame: the SIGTERM handler it inherited (the
     runner's SIGTERM -> ``KeyboardInterrupt`` guard) reset to the
     default, then SIGTERM unblocked (:meth:`ResilientPool._spawn` forks
-    with it blocked), then the task loop."""
+    with it blocked), then the task loop.
+
+    ``inherited`` holds the parent ends a forked worker got copies of:
+    its own pipe's and its earlier siblings'.  They are closed first,
+    so the parent's pipe ends die with the parent and its death, even
+    by SIGKILL, is EOF on ``conn``: the worker exits instead of
+    waiting in ``recv`` for good."""
+    for end in inherited:
+        end.close()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     _worker_main(conn, fn)
@@ -213,9 +221,9 @@ class ResilientPool:
         self._lock = threading.Lock()  # one section at a time per pool
         self._closed = False
         self.repairs = 0  # workers respawned over this pool's lifetime
-        self._workers: List[_Worker] = [
-            self._spawn() for _ in range(n_workers)
-        ]
+        self._workers: List[_Worker] = []
+        for _ in range(n_workers):
+            self._workers.append(self._spawn())
 
     @property
     def n_workers(self) -> int:
@@ -230,9 +238,15 @@ class ResilientPool:
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # a forked child holds a copy of every parent end open now; a
+        # spawned one is handed only what its arguments pickle
+        inherited = (
+            (parent_conn, *(w.conn for w in self._workers))
+            if self._ctx.get_start_method() == "fork" else ()
+        )
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=(child_conn, self._fn),
+            args=(child_conn, self._fn, inherited),
             daemon=True,
             name="repro-sweep-worker",
         )

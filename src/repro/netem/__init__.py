@@ -9,7 +9,6 @@ claim that rate-based congestion control outperforms TCP on lossy paths.
 
 from repro.netem.channels import (
     BernoulliLossChannel,
-    CompositeChannel,
     GilbertElliottChannel,
     JitterChannel,
 )
@@ -18,5 +17,4 @@ __all__ = [
     "BernoulliLossChannel",
     "GilbertElliottChannel",
     "JitterChannel",
-    "CompositeChannel",
 ]

@@ -8,7 +8,7 @@ are reproducible and independent of other components (see
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.sim.packet import Packet
 
@@ -125,24 +125,3 @@ class JitterChannel:
         """Always deliver, with uniform extra delay."""
         return self._rng.random() * self.max_jitter
 
-
-class CompositeChannel:
-    """Chain several channels; a drop by any stage drops the packet.
-
-    Extra delays accumulate, e.g. ``CompositeChannel([loss, jitter])``.
-    """
-
-    def __init__(self, stages: Sequence[object]):
-        if not stages:
-            raise ValueError("need at least one stage")
-        self.stages: List[object] = list(stages)
-
-    def transit(self, packet: Packet, now: float) -> Optional[float]:
-        """Run every stage; None from any stage is a loss."""
-        total = 0.0
-        for stage in self.stages:
-            outcome = stage.transit(packet, now)
-            if outcome is None:
-                return None
-            total += outcome
-        return total

@@ -38,7 +38,6 @@ from repro.obs.progress import ProgressRenderer
 from repro.obs.spans import (
     SpanWriter,
     format_span_summary,
-    read_spans,
     span_summary,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "metrics_enabled",
     "profile_call",
     "profiling_requested",
-    "read_spans",
     "registry",
     "reset_metrics",
     "span_summary",

@@ -33,9 +33,10 @@ time (the CLI ``metrics`` subcommand enables it explicitly).
 from __future__ import annotations
 
 import json
-import os
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.sim.engine import env_flag
 
 __all__ = [
     "METRICS_ENV",
@@ -423,5 +424,5 @@ def harvest_sweep(records: Iterable[Any]) -> None:
     ).set(quarantine_count())
 
 
-if os.environ.get(METRICS_ENV, "") not in ("", "0"):
+if env_flag(METRICS_ENV):
     enable_metrics()

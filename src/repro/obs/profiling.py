@@ -19,6 +19,8 @@ import cProfile
 import os
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
+from repro.sim.engine import env_flag
+
 __all__ = [
     "PROFILE_ENV",
     "hotspot_table",
@@ -36,7 +38,7 @@ ProfileStats = Dict[Tuple[str, int, str], Tuple[int, int, float, float]]
 
 def profiling_requested() -> bool:
     """True when ``REPRO_PROFILE`` asks for per-cell capture."""
-    return os.environ.get(PROFILE_ENV, "") not in ("", "0")
+    return env_flag(PROFILE_ENV)
 
 
 def profile_call(fn: Callable[..., Any], *args: Any,

@@ -16,8 +16,8 @@ callback; :class:`SpanWriter` timestamps each event relative to the
 sweep start, keeps it in memory, and — when given a path — appends it
 as one JSON line so the trace lands next to the sweep manifest
 (``<scenario>.spans.jsonl``).  The file is append-only and flushed per
-event, so a killed sweep still leaves a valid prefix; :func:`read_spans`
-tolerates a torn final line.
+event, so a killed sweep still leaves a valid prefix;
+:func:`~repro.ioutil.read_jsonl` tolerates a torn final line.
 
 Event vocabulary (all events carry ``t``, seconds since sweep start):
 
@@ -44,12 +44,11 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.ioutil import Journal, read_jsonl
+from repro.ioutil import Journal
 
 __all__ = [
     "SpanWriter",
     "format_span_summary",
-    "read_spans",
     "span_summary",
 ]
 
@@ -99,11 +98,6 @@ class SpanWriter:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-def read_spans(path: str) -> List[Dict[str, Any]]:
-    """Parse a span JSONL file, skipping a torn (partial) final line."""
-    return read_jsonl(path)
 
 
 def span_summary(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

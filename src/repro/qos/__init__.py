@@ -2,8 +2,7 @@
 
 Provides the EuQoS-like AF class machinery the paper assumes:
 
-* token-bucket meters — :class:`SrTcmMeter` (RFC 2697) and
-  :class:`TrTcmMeter` (RFC 2698);
+* the token-bucket meter :class:`SrTcmMeter` (RFC 2697);
 * edge markers that color packets against a flow's traffic profile;
 * :class:`ServiceLevelAgreement` plus :class:`AdmissionController` for
   bandwidth negotiation between applications and the network;
@@ -11,14 +10,12 @@ Provides the EuQoS-like AF class machinery the paper assumes:
   :mod:`repro.sim.queues` (:class:`~repro.sim.queues.RioQueue`).
 """
 
-from repro.qos.meters import SrTcmMeter, TokenBucket, TrTcmMeter
+from repro.qos.meters import SrTcmMeter
 from repro.qos.marking import BestEffortMarker, ProfileMarker
 from repro.qos.sla import AdmissionController, AdmissionError, ServiceLevelAgreement
 
 __all__ = [
-    "TokenBucket",
     "SrTcmMeter",
-    "TrTcmMeter",
     "ProfileMarker",
     "BestEffortMarker",
     "ServiceLevelAgreement",

@@ -20,8 +20,7 @@ class ProfileMarker:
     ----------
     meter:
         An object with ``color_of(size_bytes, now) -> Color``
-        (:class:`~repro.qos.meters.SrTcmMeter` or
-        :class:`~repro.qos.meters.TrTcmMeter`).
+        (:class:`~repro.qos.meters.SrTcmMeter`).
     flow_id:
         When given, only packets of this flow are metered; other flows
         fall through to ``default_color``.

@@ -1,13 +1,8 @@
-"""Token buckets and two/three-color traffic meters.
+"""The srTCM traffic meter (RFC 2697).
 
-These implement the metering half of DiffServ edge conditioning:
-
-* :class:`TokenBucket` — the elementary continuous-fill bucket;
-* :class:`SrTcmMeter` — single-rate three-color marker, RFC 2697;
-* :class:`TrTcmMeter` — two-rate three-color marker, RFC 2698.
-
-Meters are *color-blind* by default (they ignore any pre-existing
-packet color), matching a first-hop edge conditioner.
+:class:`SrTcmMeter` is the metering half of DiffServ edge conditioning.
+It is *color-blind* (it ignores any pre-existing packet color),
+matching a first-hop edge conditioner.
 """
 
 from __future__ import annotations
@@ -15,49 +10,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.sim.packet import Color
-
-
-class TokenBucket:
-    """A continuously-filled token bucket.
-
-    Parameters
-    ----------
-    rate_bps:
-        Fill rate in bits per second (tokens are bytes; the bucket
-        converts internally).
-    burst_bytes:
-        Bucket depth in bytes.
-    """
-
-    def __init__(self, rate_bps: float, burst_bytes: float):
-        if rate_bps < 0 or burst_bytes <= 0:
-            raise ValueError("need rate >= 0 and burst > 0")
-        self.rate_bps = float(rate_bps)
-        self.burst_bytes = float(burst_bytes)
-        self.tokens = float(burst_bytes)
-        self._last_fill = 0.0
-
-    def refill(self, now: float) -> None:
-        """Advance the fill clock to ``now``."""
-        if now > self._last_fill:
-            self.tokens = min(
-                self.burst_bytes,
-                self.tokens + (now - self._last_fill) * self.rate_bps / 8.0,
-            )
-            self._last_fill = now
-
-    def try_consume(self, size_bytes: int, now: float) -> bool:
-        """Consume ``size_bytes`` tokens if available; True on success."""
-        self.refill(now)
-        if self.tokens >= size_bytes:
-            self.tokens -= size_bytes
-            return True
-        return False
-
-    def peek(self, now: float) -> float:
-        """Current token level (bytes) after refilling to ``now``."""
-        self.refill(now)
-        return self.tokens
 
 
 class SrTcmMeter:
@@ -114,43 +66,3 @@ class SrTcmMeter:
         """Packets metered per color (read-only snapshot)."""
         return {c: self._counts[c._value_] for c in Color}
 
-
-class TrTcmMeter:
-    """Two-rate three-color meter (RFC 2698).
-
-    A peak-rate bucket (PIR/PBS) and a committed-rate bucket (CIR/CBS):
-
-    * above peak → ``RED``,
-    * within peak but above committed → ``YELLOW``,
-    * within committed → ``GREEN``.
-    """
-
-    def __init__(
-        self, cir_bps: float, cbs_bytes: float, pir_bps: float, pbs_bytes: float
-    ):
-        if pir_bps < cir_bps:
-            raise ValueError("peak rate must be >= committed rate")
-        self._committed = TokenBucket(cir_bps, cbs_bytes)
-        self._peak = TokenBucket(pir_bps, pbs_bytes)
-        self._counts = [0] * len(Color)  # indexed by color._value_
-
-    def color_of(self, size_bytes: int, now: float) -> Color:
-        """Meter one packet and return its color (consuming tokens)."""
-        self._peak.refill(now)
-        self._committed.refill(now)
-        if self._peak.tokens < size_bytes:
-            color = Color.RED
-        elif self._committed.tokens < size_bytes:
-            self._peak.tokens -= size_bytes
-            color = Color.YELLOW
-        else:
-            self._peak.tokens -= size_bytes
-            self._committed.tokens -= size_bytes
-            color = Color.GREEN
-        self._counts[color._value_] += 1
-        return color
-
-    @property
-    def counts(self) -> Dict[Color, int]:
-        """Packets metered per color (read-only snapshot)."""
-        return {c: self._counts[c._value_] for c in Color}

@@ -68,6 +68,7 @@ list):
 from __future__ import annotations
 
 import heapq
+import os
 import random
 import sys
 from time import perf_counter as _perf_counter
@@ -85,6 +86,17 @@ _NO_LIMIT = sys.maxsize
 # entry and once at exit, never inside the event loop, and simulators
 # constructed while it is None do not even track their links.
 _obs_run_hook: Optional[Callable[["Simulator", int, float], None]] = None
+
+
+def env_flag(name: str) -> bool:
+    """True when the environment switch ``name`` is on.
+
+    Unset, empty and ``0`` read as off, once surrounding whitespace is
+    stripped; anything else reads as on.  Every boolean ``REPRO_*``
+    switch reads through here.  It lives in the engine because every
+    process that imports ``repro`` has loaded the engine already.
+    """
+    return os.environ.get(name, "").strip() not in ("", "0")
 
 
 class SimulationError(Exception):

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
+
+from repro.sim.engine import env_flag
 
 
 class Color(enum.Enum):
@@ -270,7 +271,7 @@ NO_POOL_ENV = "REPRO_NO_POOL"
 
 def pooling_enabled() -> bool:
     """False when :data:`NO_POOL_ENV` disables the packet pool."""
-    return os.environ.get(NO_POOL_ENV, "").strip() in ("", "0")
+    return not env_flag(NO_POOL_ENV)
 
 
 class PacketPool:

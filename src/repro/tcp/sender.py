@@ -303,6 +303,14 @@ class TcpSender(Agent):
         self._in_recovery = False
         self.cwnd = self.ssthresh
         self._dup_acks = 0
+        self._forget_acked_retransmissions()
+
+    def _forget_acked_retransmissions(self) -> None:
+        """Drop the Karn marks below ``snd_una``: a new ACK's check reads
+        ``ack - 1 >= snd_una``, so no later check reads them.  Run when
+        recovery ends or an RTO fires, not per ACK."""
+        una = self.snd_una
+        self._retransmitted = {seq for seq in self._retransmitted if seq >= una}
 
     def _complete(self) -> None:
         if self.completed_at is not None:
@@ -326,6 +334,7 @@ class TcpSender(Agent):
         # re-sent from the first unacked segment
         self.scoreboard.mark_outstanding_lost()
         self.snd_nxt = self.snd_una
+        self._forget_acked_retransmissions()
         self._retransmitted.add(self.snd_una)
         self.retransmissions += 1
         self._fill_window()

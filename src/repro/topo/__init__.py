@@ -24,8 +24,8 @@ Module map
     order: the two canonical shapes (:func:`dumbbell_spec`,
     :func:`chain_spec` — the only place their link order is written)
     and the shapes for generated populations
-    (:func:`access_star_spec`, :func:`isp_chain_spec`,
-    :func:`fat_tree_spec`) plus their ``*_endpoints`` pools.
+    (:func:`access_star_spec` with its :func:`access_star_endpoints`
+    pool, :func:`isp_chain_spec`, :func:`fat_tree_spec`).
 :mod:`repro.topo.presets`
     Canonical specs, composed from the generators: the shared
     :func:`t1_dumbbell_spec` (the one copy of the T1 scaffold that
@@ -53,9 +53,7 @@ from repro.topo.generators import (  # noqa: F401
     access_star_spec,
     chain_spec,
     dumbbell_spec,
-    fat_tree_endpoints,
     fat_tree_spec,
-    isp_chain_endpoints,
     isp_chain_spec,
     random_access_star_spec,
 )
@@ -92,10 +90,8 @@ __all__ = [
     "build",
     "chain_spec",
     "dumbbell_spec",
-    "fat_tree_endpoints",
     "fat_tree_spec",
     "hetero_sla_dumbbell_spec",
-    "isp_chain_endpoints",
     "isp_chain_spec",
     "lossy_chain_spec",
     "parking_lot_spec",

@@ -39,7 +39,6 @@ the schedule calls of step 4.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
@@ -52,7 +51,7 @@ from repro.metrics.fct import FlowCompletion
 from repro.metrics.recorder import FlowRecorder
 from repro.qos.marking import BestEffortMarker, ProfileMarker
 from repro.qos.sla import ServiceLevelAgreement
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, env_flag
 from repro.sim.link import Link
 from repro.sim.packet import Color
 from repro.sim.queues import DropTailQueue, RedQueue, RioQueue
@@ -91,14 +90,6 @@ TRACE_ENV = "REPRO_TRACE"
 #: background at all.  The debugging lever for "is the fluid model the
 #: thing that changed this number?".
 NO_FLUID_ENV = "REPRO_NO_FLUID"
-
-
-def _tracing_requested() -> bool:
-    return os.environ.get(TRACE_ENV, "") not in ("", "0")
-
-
-def _fluid_disabled() -> bool:
-    return os.environ.get(NO_FLUID_ENV, "") not in ("", "0")
 
 
 @dataclass
@@ -169,7 +160,7 @@ def build(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     """Compile ``spec`` into a ready-to-run scenario (see module doc)."""
     net = Network(sim)
     built = BuiltScenario(spec=spec, net=net)
-    fluid_enabled = not _fluid_disabled()  # sampled once per build
+    fluid_enabled = not env_flag(NO_FLUID_ENV)  # sampled once per build
     # 1. nodes: declared order first, then lazily from links
     for name in spec.topology.nodes:
         net.add_node(name)
@@ -241,7 +232,7 @@ def build(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     # packet tracer to every link.  The wrappers only observe — no
     # random draws, no schedule calls — so the golden event order is
     # untouched even when tracing is on.
-    if _tracing_requested():
+    if env_flag(TRACE_ENV):
         from repro.sim.trace import PacketTracer
 
         tracer = PacketTracer()

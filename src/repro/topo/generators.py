@@ -11,9 +11,9 @@ deterministic order** (bottleneck links first, then access links in
 host order — the convention the presets follow), so a generated
 topology builds bit-identically for the same parameters.
 
-Each population shape ships an ``*_endpoints`` helper returning the
-natural ``(src, dst)`` pool for
-:class:`~repro.traffic.specs.PopulationSpec`, in the same pinned order.
+The access star ships :func:`access_star_endpoints`, the natural
+``(src, dst)`` pool for :class:`~repro.traffic.specs.PopulationSpec`,
+in the same pinned order.
 """
 
 from __future__ import annotations
@@ -216,26 +216,6 @@ def isp_chain_spec(
     return TopologySpec(links=tuple(links))
 
 
-def isp_chain_endpoints(
-    n_bottlenecks: int, hosts_per_pop: int = 1
-) -> Endpoints:
-    """Chain endpoints: per-hop neighbour pairs, then long-haul pairs.
-
-    For every bottleneck ``i`` and host index ``k`` the pair
-    ``(p{i}h{k}, p{i+1}h{k})`` crosses exactly that hop; the trailing
-    ``(p0h{k}, p{N}h{k})`` pairs cross the whole chain (the multi-hop
-    flows the parking-lot experiments stress).
-    """
-    pairs: List[Tuple[str, str]] = []
-    for i in range(n_bottlenecks):
-        for k in range(hosts_per_pop):
-            pairs.append((f"p{i}h{k}", f"p{i + 1}h{k}"))
-    if n_bottlenecks > 1:
-        for k in range(hosts_per_pop):
-            pairs.append((f"p0h{k}", f"p{n_bottlenecks}h{k}"))
-    return tuple(pairs)
-
-
 def fat_tree_spec(
     n_pods: int = 2,
     hosts_per_pod: int = 2,
@@ -270,11 +250,3 @@ def fat_tree_spec(
             )
     return TopologySpec(links=tuple(links))
 
-
-def fat_tree_endpoints(n_pods: int = 2, hosts_per_pod: int = 2) -> Endpoints:
-    """Cross-pod pairs: host ``k`` of pod ``p`` talks to pod ``p+1``'s."""
-    return tuple(
-        (f"p{p}h{k}", f"p{(p + 1) % n_pods}h{k}")
-        for p in range(n_pods)
-        for k in range(hosts_per_pod)
-    )

@@ -15,8 +15,10 @@ Module map
     :class:`PopulationSpec`.  All frozen, kind/parameter
     cross-validated pure data.
 :mod:`repro.traffic.samplers`
-    Deterministic samplers: pure functions of ``(spec, rng)`` with a
-    pinned draw order.
+    Deterministic samplers with a pinned draw order:
+    :func:`~repro.traffic.samplers.iter_arrivals` streams arrival
+    times and :func:`~repro.traffic.samplers.size_sampler` binds a
+    one-draw flow-size function, both from ``(spec, rng)``.
 :mod:`repro.traffic.population`
     :func:`expand_population` — ``PopulationSpec -> tuple[FlowSpec,
     ...]`` driven by independent named RNG streams (the ``ChannelSpec``
@@ -58,7 +60,6 @@ from repro.traffic.population import (  # noqa: F401
     apply_slas,
     expand_population,
 )
-from repro.traffic.samplers import sample_arrivals, sample_size  # noqa: F401
 from repro.traffic.specs import (  # noqa: F401
     ARRIVAL_KINDS,
     SIZE_KINDS,
@@ -78,6 +79,4 @@ __all__ = [
     "SizeSpec",
     "apply_slas",
     "expand_population",
-    "sample_arrivals",
-    "sample_size",
 ]

@@ -80,7 +80,7 @@ def _population_draws(
     Everything :func:`expand_population` knows about a flow, before it
     is a ``FlowSpec``: the single draw loop behind both fidelities.
     The packet-level tier wraps each draw in a ``FlowSpec``; the hybrid
-    tier (:func:`repro.fluid.derive.background_from_population`) reads
+    tier (:func:`repro.fluid.derive.add_population_background`) reads
     ``start`` and ``size_bytes`` off it and lets it go, so a background
     of any size costs O(1) memory.  The four streams are independent,
     so pulling arrival times lazily instead of up front moves no draw.

@@ -11,23 +11,16 @@ contract — the determinism tests pin it.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator, List
+from typing import Callable, Iterator
 
 from repro.traffic.specs import ArrivalSpec, SizeSpec
-
-
-def sample_arrivals(
-    spec: ArrivalSpec, rng: random.Random, horizon: float, n_max: int
-) -> List[float]:
-    """Arrival times in ``(0, horizon)``, at most ``n_max``, ascending."""
-    return list(iter_arrivals(spec, rng, horizon, n_max))
 
 
 def iter_arrivals(
     spec: ArrivalSpec, rng: random.Random, horizon: float, n_max: int
 ) -> Iterator[float]:
-    """:func:`sample_arrivals` one arrival at a time: the same draws in
-    the same order, made as the consumer pulls, the list never held."""
+    """Arrival times in ``(0, horizon)``, at most ``n_max``, ascending,
+    drawn one at a time as the consumer pulls."""
     if spec.kind == "poisson":
         return _poisson(rng, spec.rate_per_s, horizon, n_max)
     if spec.kind == "onoff":
@@ -136,7 +129,3 @@ def size_sampler(spec: SizeSpec, rng: random.Random) -> Callable[[], int]:
 
     return pareto
 
-
-def sample_size(spec: SizeSpec, rng: random.Random) -> int:
-    """One flow size in bytes (an integer ``>= 1``)."""
-    return size_sampler(spec, rng)()

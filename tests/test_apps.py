@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.playout import PlayoutBuffer
-from repro.apps.sources import CbrSource, MediaSource, OnOffSource, PoissonSource
+from repro.apps.sources import MediaSource
 from repro.core.instances import TFRC_MEDIA, build_transport_pair
 from repro.metrics.recorder import FlowRecorder
 from repro.sim.engine import Simulator
@@ -19,71 +19,6 @@ def media_pair(sim, rate=5e6):
         recorder=rec, bulk=False, start=True,
     )
     return snd, rcv, rec
-
-
-class TestCbr:
-    def test_rate_matches_nominal(self):
-        sim = Simulator(seed=1)
-        snd, rcv, rec = media_pair(sim)
-        src = CbrSource(sim, snd, rate_bps=800_000)
-        src.start()
-        sim.run(until=20)
-        assert rec.mean_rate_bps(5, 20) == pytest.approx(800_000, rel=0.1)
-
-    def test_stop_stops_generation(self):
-        sim = Simulator(seed=1)
-        snd, rcv, rec = media_pair(sim)
-        src = CbrSource(sim, snd, rate_bps=800_000)
-        src.start()
-        sim.run(until=5)
-        src.stop()
-        count = src.messages
-        sim.run(until=10)
-        assert src.messages == count
-
-    def test_deadline_attached(self):
-        sim = Simulator(seed=1)
-        snd, rcv, rec = media_pair(sim)
-        src = CbrSource(sim, snd, rate_bps=100_000, lifetime=0.25)
-        src.start()
-        sim.run(until=1)
-        # inspect a queued/sent message via the scoreboard-free app queue
-        assert src.messages > 0
-
-    def test_validates_rate(self):
-        sim = Simulator(seed=1)
-        snd, _, _ = media_pair(sim)
-        with pytest.raises(ValueError):
-            CbrSource(sim, snd, rate_bps=0)
-
-
-class TestPoissonAndOnOff:
-    def test_poisson_mean_rate(self):
-        sim = Simulator(seed=2)
-        snd, rcv, rec = media_pair(sim)
-        src = PoissonSource(sim, snd, rate_bps=500_000)
-        src.start()
-        sim.run(until=30)
-        assert rec.mean_rate_bps(5, 30) == pytest.approx(500_000, rel=0.2)
-
-    def test_onoff_produces_bursts_and_silences(self):
-        sim = Simulator(seed=3)
-        snd, rcv, rec = media_pair(sim)
-        src = OnOffSource(sim, snd, rate_bps=1e6, mean_on=0.5, mean_off=0.5)
-        src.start()
-        sim.run(until=30)
-        series = rec.series(0.2, end=30)
-        idle_bins = sum(1 for v in series if v == 0)
-        busy_bins = sum(1 for v in series if v > 0)
-        assert idle_bins > 5 and busy_bins > 5
-
-    def test_onoff_long_run_rate_half_of_peak(self):
-        sim = Simulator(seed=4)
-        snd, rcv, rec = media_pair(sim)
-        src = OnOffSource(sim, snd, rate_bps=1e6, mean_on=1.0, mean_off=1.0)
-        src.start()
-        sim.run(until=60)
-        assert rec.mean_rate_bps(5, 60) == pytest.approx(5e5, rel=0.35)
 
 
 class TestMediaSource:
@@ -120,6 +55,23 @@ class TestMediaSource:
         assert rec.mean_rate_bps(5, 20) == pytest.approx(
             src.mean_rate_bps(), rel=0.15
         )
+
+    def test_stop_stops_generation(self):
+        sim = Simulator(seed=1)
+        snd, rcv, rec = media_pair(sim)
+        src = MediaSource(sim, snd, fps=25)
+        src.start()
+        sim.run(until=5)
+        src.stop()
+        count = src.messages
+        sim.run(until=10)
+        assert src.messages == count
+
+    def test_validates_fps(self):
+        sim = Simulator(seed=1)
+        snd, _, _ = media_pair(sim)
+        with pytest.raises(ValueError):
+            MediaSource(sim, snd, fps=0)
 
 
 class TestPlayoutBuffer:

@@ -452,28 +452,28 @@ class TestReportAndObs:
         assert (directory / "report.md").read_text() == on_disk
 
     def test_campaign_spans_cover_jobs_and_report(self, tmp_path):
-        from repro.obs.spans import read_spans
+        from repro.ioutil import read_jsonl
 
         directory = tmp_path / "camp"
         two_job_campaign().run(directory)
-        events = read_spans(str(directory / "campaign.spans.jsonl"))
+        events = read_jsonl(str(directory / "campaign.spans.jsonl"))
         kinds = [e["event"] for e in events]
         assert kinds[0] == "campaign"
         assert kinds.count("report") == 1
         job_events = [e for e in events if e["event"] == "job"]
         assert {e["name"] for e in job_events} == {"a", "b"}
         # per-job sweep spans landed in the scenario directories
-        sweep = read_spans(str(directory / "scenarios" / "a" / "spans.jsonl"))
+        sweep = read_jsonl(str(directory / "scenarios" / "a" / "spans.jsonl"))
         assert sweep[0]["event"] == "sweep"
         assert sum(1 for e in sweep if e["event"] == "done") == 2
 
     def test_resume_appends_spans_instead_of_truncating(self, tmp_path):
-        from repro.obs.spans import read_spans
+        from repro.ioutil import read_jsonl
 
         directory = tmp_path / "camp"
         two_job_campaign().run(directory)
         two_job_campaign().run(directory, resume=True)
-        events = read_spans(str(directory / "campaign.spans.jsonl"))
+        events = read_jsonl(str(directory / "campaign.spans.jsonl"))
         headers = [e for e in events if e["event"] == "campaign"]
         assert len(headers) == 2
         assert headers[0]["resumed"] is False

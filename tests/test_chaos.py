@@ -730,10 +730,7 @@ class TestManifestResume:
         finally:
             # a worker still holding the stdout pipe would block a bare
             # communicate() forever: kill the whole group, then drain
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass  # the group has already exited
+            _kill_group(proc.pid)
             if proc.returncode is None:
                 proc.communicate(timeout=30)
         assert "INTERRUPTED" in out, out
@@ -770,10 +767,12 @@ class TestManifestResume:
                "PYTHONPATH": str(Path("src").resolve()),
                "PYTHONUNBUFFERED": "1"}
         # the first invocation's output is irrelevant and capturing it
-        # would leave orphaned workers holding the pipe open
+        # would leave its workers, busy in a hung cell, holding the
+        # pipe open.  Its own session: one killpg below reaches them
         proc = subprocess.Popen(
             [sys.executable, str(script), str(cache), "first"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 60
@@ -792,6 +791,7 @@ class TestManifestResume:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+            _kill_group(proc.pid)
         assert proc.returncode == -signal.SIGKILL
         # every durable manifest line parses; the completed cells are ok
         (manifest_path,) = cache.glob("*.manifest.jsonl")
@@ -816,6 +816,74 @@ class TestManifestResume:
         assert payload["values"] == sorted(
             random.Random(s).random() for s in range(4)
         )
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_sigkilled_sweep_leaves_no_worker_behind(
+            self, tmp_path, start_method):
+        # a warm pool's idle workers wait in recv on their pipes; once
+        # the parent is SIGKILLed that recv must read EOF, so every
+        # worker exits on its own.  The sweep has its own session, so
+        # an empty process group means no worker outlived its parent
+        script = tmp_path / "orphan_script.py"
+        script.write_text(ORPHAN_SCRIPT)
+        env = {**os.environ, "PYTHONPATH": str(Path("src").resolve())}
+        proc = subprocess.Popen(
+            [sys.executable, str(script), start_method],
+            env=env, stdout=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline().strip() == "READY"
+            proc.kill()  # the parent only, not its group
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, (
+                    f"{start_method}: sweep workers alive 10 s after "
+                    "their parent was SIGKILLed"
+                )
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            _kill_group(proc.pid)
+            proc.stdout.close()
+            proc.wait(timeout=30)
+
+
+def _kill_group(pgid: int) -> None:
+    """SIGKILL what is left of a test's own process group."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the group has already exited
+
+
+ORPHAN_SCRIPT = '''
+import dataclasses, multiprocessing, sys, time
+from repro.harness.registry import register
+from repro.harness.result import ScenarioResult
+from repro.harness.runner import run_matrix
+
+@dataclasses.dataclass
+class R(ScenarioResult):
+    value: float
+
+@register("orphan_probe", grid={})
+def orphan_probe(seed: int = 0) -> R:
+    return R(value=float(seed))
+
+if __name__ == "__main__":  # a spawned worker imports this module too
+    multiprocessing.set_start_method(sys.argv[1])
+    records = run_matrix("orphan_probe", {"seed": (0, 1, 2, 3)}, workers=2)
+    assert all(r.ok for r in records)
+    print("READY", flush=True)
+    time.sleep(120)  # the warm pool's two workers wait idle meanwhile
+'''
 
 
 SIGTERM_SCRIPT = '''

@@ -13,11 +13,7 @@ from repro.fluid import (
     hybridize,
 )
 from repro.fluid import derive as derive_mod
-from repro.fluid.derive import (
-    _class_of,
-    background_from_population,
-    background_from_population_flows,
-)
+from repro.fluid.derive import _class_of, background_from_population_flows
 from repro.harness.experiments import flash_crowd as flash_crowd_mod
 from repro.harness.experiments.flash_crowd import (
     flash_crowd_foreground_spec,
@@ -245,8 +241,6 @@ class TestOfferedLoadProfile:
         flows = _finite_flows([(1000, 0.0)])
         with pytest.raises(ValueError, match="per_flow_rate_bps"):
             offered_load_profile(flows, 0.1, per_flow_rate_bps=-5.0)
-        with pytest.raises(ValueError, match="per_flow_rate_bps"):
-            background_from_population(_CROWD, 0, per_flow_rate_bps=-1.0)
         for door in DOORS:
             with pytest.raises(ValueError, match="per_flow_rate_bps"):
                 door(per_flow_rate_bps=-1.0)
@@ -306,6 +300,9 @@ class TestOfferedLoadProfile:
 #: The small crowd the error and split tests share.
 _CROWD = flash_crowd_population(n_hosts=8, n_flows=6)
 
+#: A foreground-only spec with one RIO bottleneck to attach a crowd to.
+_FOREGROUND = flash_crowd_foreground_spec("gtfrc", 4e6, n_hosts=8)
+
 
 def _via_hybridize(classes=None, **kwargs):
     """Door 2: the full packet-level spec, its crowd then fluidized."""
@@ -317,9 +314,8 @@ def _via_hybridize(classes=None, **kwargs):
 
 def _via_population(classes=None, **kwargs):
     """Door 1: the foreground-only spec plus the derived background."""
-    foreground = flash_crowd_foreground_spec("gtfrc", 4e6, n_hosts=8)
     return add_population_background(
-        foreground, _CROWD, seed=1, classes=classes, **kwargs
+        _FOREGROUND, _CROWD, seed=1, classes=classes, **kwargs
     )
 
 
@@ -334,14 +330,20 @@ class TestDerive:
         assert _class_of("other3", {"mice"}) is None
 
     def test_background_from_population_unknown_class(self):
-        with pytest.raises(ValueError, match="no class"):
-            background_from_population(_CROWD, 0, classes=("rat",))
+        for door in DOORS:
+            with pytest.raises(ValueError, match="no class"):
+                door(classes=("rat",))
 
     def test_background_from_population_is_elastic_by_default(self):
-        bg = background_from_population(_CROWD, 0)
-        assert bg.kind == "population"
-        assert bg.elastic is True
-        assert sum(bg.profile) > 0
+        for door in DOORS:
+            (bg,) = [
+                ls.background
+                for ls in door().topology.links
+                if ls.background is not None
+            ]
+            assert bg.kind == "population"
+            assert bg.elastic is True
+            assert sum(bg.profile) > 0
 
     def test_hybridize_splits_foreground_and_background(self):
         expected = sum(f.size_bytes for f in expand_population(_CROWD, 1))
@@ -616,11 +618,14 @@ class TestBothDoorsAreOneFunction:
             for f in expand_population(population, seed)
             if _class_of(f.flow_id, names) in selected
         ]
-        assert background_from_population(
-            population, seed, epoch=0.05, per_flow_rate_bps=pace,
-            classes=classes,
-        ).profile == offered_load_profile(
-            flows, 0.05, per_flow_rate_bps=pace
+        derived = add_population_background(
+            _FOREGROUND, population, seed, classes=classes, epoch=0.05,
+            per_flow_rate_bps=pace,
+        )
+        assert self._background(derived).profile == (
+            background_from_population_flows(
+                flows, epoch=0.05, per_flow_rate_bps=pace
+            ).profile
         )
 
     def test_streaming_memory_does_not_grow_with_the_population(self):
@@ -638,7 +643,9 @@ class TestBothDoorsAreOneFunction:
             )
             tracemalloc.start()
             try:
-                background_from_population(population, 1, **self.KWARGS)
+                add_population_background(
+                    _FOREGROUND, population, 1, **self.KWARGS
+                )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

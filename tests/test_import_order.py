@@ -83,7 +83,7 @@ def test_fluid_package_still_serves_the_derive_names():
     import repro.fluid
     from repro.fluid import derive
 
-    for name in ("hybridize", "background_from_population",
+    for name in ("hybridize", "add_population_background",
                  "background_from_population_flows"):
         assert name in repro.fluid.__all__
         assert getattr(repro.fluid, name) is getattr(derive, name)

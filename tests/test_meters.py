@@ -1,39 +1,46 @@
-"""Unit tests for token buckets and srTCM/trTCM meters."""
+"""Unit tests for the srTCM meter and the profile marker."""
 
 import pytest
 
 from repro.qos.marking import ProfileMarker
-from repro.qos.meters import SrTcmMeter, TokenBucket, TrTcmMeter
+from repro.qos.meters import SrTcmMeter
 from repro.sim.packet import Color, Packet
 
 
 class TestTokenBucket:
+    """The srTCM's two token buckets: C, ``cbs_bytes`` deep, and E,
+    ``ebs_bytes`` deep, both filled at CIR (C first)."""
+
     def test_starts_full(self):
-        tb = TokenBucket(rate_bps=8000, burst_bytes=500)
-        assert tb.peek(0.0) == 500
+        m = SrTcmMeter(cir_bps=8000, cbs_bytes=500, ebs_bytes=300)
+        assert m.color_of(500, 0.0) is Color.GREEN
+        assert m.color_of(300, 0.0) is Color.YELLOW
 
     def test_consume_and_refill(self):
-        tb = TokenBucket(rate_bps=8000, burst_bytes=1000)  # 1000 B/s fill
-        assert tb.try_consume(1000, 0.0)
-        assert not tb.try_consume(1, 0.0)
-        assert tb.try_consume(500, 0.5)  # refilled 500 B after 0.5 s
-        assert not tb.try_consume(1, 0.5)
+        m = SrTcmMeter(cir_bps=8000, cbs_bytes=1000)  # 1000 B/s fill
+        assert m.color_of(1000, 0.0) is Color.GREEN
+        assert m.color_of(1, 0.0) is Color.RED
+        assert m.color_of(500, 0.5) is Color.GREEN  # refilled 500 B
+        assert m.color_of(1, 0.5) is Color.RED
 
     def test_never_exceeds_burst(self):
-        tb = TokenBucket(rate_bps=8000, burst_bytes=100)
-        assert tb.peek(1000.0) == 100
+        m = SrTcmMeter(cir_bps=8000, cbs_bytes=1000, ebs_bytes=500)
+        m.color_of(1000, 0.0)
+        # a long idle refills C to CBS and E to EBS, no further
+        assert m.color_of(1000, 1000.0) is Color.GREEN
+        assert m.color_of(500, 1000.0) is Color.YELLOW
+        assert m.color_of(1, 1000.0) is Color.RED
 
     def test_clock_does_not_go_backwards(self):
-        tb = TokenBucket(rate_bps=8000, burst_bytes=1000)
-        tb.try_consume(1000, 1.0)
-        before = tb.peek(1.0)
-        assert tb.peek(0.5) == before  # stale timestamp ignored
+        m = SrTcmMeter(cir_bps=8000, cbs_bytes=1000)
+        m.color_of(1000, 1.0)
+        assert m.color_of(1, 0.5) is Color.RED  # stale timestamp ignored
 
     def test_validates_args(self):
         with pytest.raises(ValueError):
-            TokenBucket(rate_bps=-1, burst_bytes=100)
+            SrTcmMeter(cir_bps=8000, cbs_bytes=0)
         with pytest.raises(ValueError):
-            TokenBucket(rate_bps=100, burst_bytes=0)
+            SrTcmMeter(cir_bps=8000, cbs_bytes=100, ebs_bytes=-1)
 
 
 class TestSrTcm:
@@ -79,28 +86,8 @@ class TestSrTcm:
             SrTcmMeter(cir_bps=0, cbs_bytes=100)
 
 
-class TestTrTcm:
-    def test_green_within_both_rates(self):
-        m = TrTcmMeter(cir_bps=8000, cbs_bytes=2000, pir_bps=16000, pbs_bytes=2000)
-        assert m.color_of(1000, 0.0) is Color.GREEN
-
-    def test_yellow_between_cir_and_pir(self):
-        m = TrTcmMeter(cir_bps=8000, cbs_bytes=1000, pir_bps=80000, pbs_bytes=4000)
-        assert m.color_of(1000, 0.0) is Color.GREEN
-        assert m.color_of(1000, 0.0) is Color.YELLOW
-
-    def test_red_above_peak(self):
-        m = TrTcmMeter(cir_bps=8000, cbs_bytes=1000, pir_bps=16000, pbs_bytes=1000)
-        assert m.color_of(1000, 0.0) is Color.GREEN
-        assert m.color_of(1000, 0.0) is Color.RED  # peak bucket empty
-
-    def test_peak_must_cover_committed(self):
-        with pytest.raises(ValueError):
-            TrTcmMeter(cir_bps=16000, cbs_bytes=1000, pir_bps=8000, pbs_bytes=1000)
-
-
 def test_marker_and_meter_counts_read_per_color():
-    meter = TrTcmMeter(cir_bps=8000, cbs_bytes=1000, pir_bps=80000, pbs_bytes=2000)
+    meter = SrTcmMeter(cir_bps=8000, cbs_bytes=1000, ebs_bytes=1000)
     marker = ProfileMarker(meter, flow_id="af")
     for flow in ("af", "af", "af", "be"):
         marker.mark(Packet(src="a", dst="b", flow_id=flow, size=1000), 0.0)

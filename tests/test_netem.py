@@ -6,7 +6,6 @@ import pytest
 
 from repro.netem.channels import (
     BernoulliLossChannel,
-    CompositeChannel,
     GilbertElliottChannel,
     JitterChannel,
 )
@@ -107,25 +106,3 @@ class TestJitter:
         with pytest.raises(ValueError):
             JitterChannel(-0.1)
 
-
-class TestComposite:
-    def test_delays_accumulate(self):
-        class FixedDelay:
-            def __init__(self, delay):
-                self.delay = delay
-
-            def transit(self, packet, now):
-                return self.delay
-
-        ch = CompositeChannel([FixedDelay(0.25), JitterChannel(0.0), FixedDelay(0.5)])
-        assert ch.transit(pkt(), 0.0) == 0.75
-
-    def test_any_stage_drop_drops(self):
-        always_drop = BernoulliLossChannel(0.99, rng=random.Random(0))
-        ch = CompositeChannel([JitterChannel(0.0), always_drop])
-        outcomes = [ch.transit(pkt(), 0.0) for _ in range(100)]
-        assert any(o is None for o in outcomes)
-
-    def test_requires_stages(self):
-        with pytest.raises(ValueError):
-            CompositeChannel([])

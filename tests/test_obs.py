@@ -34,6 +34,7 @@ from repro.harness.runner import (
     spans_path,
     warm_pool_stats,
 )
+from repro.ioutil import read_jsonl
 from repro.obs import (
     MetricsRegistry,
     ProgressRenderer,
@@ -47,7 +48,6 @@ from repro.obs import (
     metrics_enabled,
     profile_call,
     profiling_requested,
-    read_spans,
     registry,
     reset_metrics,
     span_summary,
@@ -326,7 +326,7 @@ class TestSpanWriter:
         with SpanWriter(str(path), header={"scenario": "s", "cells": 1}) as w:
             w({"event": "queued", "i": 0})
             w({"event": "done", "i": 0, "wall": 0.1})
-        events = read_spans(str(path))
+        events = read_jsonl(str(path))
         assert [e["event"] for e in events] == ["sweep", "queued", "done"]
         # every persisted line is valid standalone JSON
         for line in path.read_text().splitlines():
@@ -335,7 +335,7 @@ class TestSpanWriter:
     def test_read_spans_tolerates_torn_final_line(self, tmp_path):
         path = tmp_path / "s.spans.jsonl"
         path.write_text('{"event": "queued", "i": 0}\n{"event": "do')
-        events = read_spans(str(path))
+        events = read_jsonl(str(path))
         assert len(events) == 1 and events[0]["event"] == "queued"
 
     def test_append_after_torn_tail_keeps_the_first_event(self, tmp_path):
@@ -346,7 +346,7 @@ class TestSpanWriter:
         with SpanWriter(str(path), append=True) as w:
             w({"event": "done", "i": 1})
             w({"event": "done", "i": 2})
-        assert [e["i"] for e in read_spans(str(path))] == [0, 1, 2]
+        assert [e["i"] for e in read_jsonl(str(path))] == [0, 1, 2]
 
     def test_append_after_clean_tail_adds_no_newline(self, tmp_path):
         path = tmp_path / "campaign.spans.jsonl"
@@ -574,7 +574,7 @@ class TestExperimentObs:
         assert results.spans[0]["cells"] == 2
         path = tmp_path / "obs_probe.spans.jsonl"
         assert path.exists()
-        persisted = read_spans(str(path))
+        persisted = read_jsonl(str(path))
         assert [e["event"] for e in persisted] == \
             [e["event"] for e in results.spans]
 
@@ -812,6 +812,27 @@ class TestCliObs:
         assert statuses[(("status", "failed"),)] == 1.0
         assert "1 of 2 runs failed terminally" in err
 
+    def test_metrics_subcommand_disarms_the_plane_on_return(self, capsys):
+        from repro.sim import engine
+
+        for argv, expected in (
+            (["metrics", "obs_probe", "--sweep", "seed=0,1", "--no-cache"], 0),
+            # an unknown parameter: the command's error return
+            (["metrics", "obs_probe", "--sweep", "seed=0", "--set", "x=1"], 2),
+        ):
+            code, _, _ = self._run(argv, capsys)
+            assert code == expected
+            assert not metrics_enabled()
+            assert engine._obs_run_hook is None
+
+    def test_metrics_subcommand_exports_only_its_own_sweep(self, capsys):
+        argv = ["metrics", "obs_probe", "--sweep", "seed=0,1", "--no-cache",
+                "--format", "prometheus"]
+        for _ in range(2):
+            code, out, _ = self._run(argv, capsys)
+            assert code == 0
+            assert 'repro_sweep_cells_total{status="ok"} 2' in out
+
 
 # ----------------------------------------------------------------------
 # acceptance: chaos sweep spans reconcile with failures and the journal
@@ -833,7 +854,7 @@ class TestChaosSpanReconciliation:
             .run(on_failure="keep")
         )
         records = list(results)
-        spans = read_spans(str(tmp_path / "obs_probe.spans.jsonl"))
+        spans = read_jsonl(str(tmp_path / "obs_probe.spans.jsonl"))
 
         # --- spans vs ResultSet.failures() -------------------------------
         failed_spans = [e for e in spans if e["event"] == "failed"]

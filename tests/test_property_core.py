@@ -5,7 +5,7 @@ import math
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.metrics.stats import jain_index, percentile
-from repro.qos.meters import SrTcmMeter, TokenBucket
+from repro.qos.meters import SrTcmMeter
 from repro.reliability.delivery import DeliveryBuffer
 from repro.sim.packet import Color, Packet
 from repro.tfrc.equation import solve_loss_rate, tcp_throughput
@@ -87,15 +87,16 @@ class TestTokenBucketProperties:
         sizes=st.lists(st.integers(min_value=1, max_value=2000), max_size=100),
     )
     def test_conservation(self, rate, burst, sizes):
-        """Consumed tokens never exceed burst + rate * elapsed."""
-        tb = TokenBucket(rate, burst)
-        consumed = 0
+        """Bytes metered in profile (green or yellow) never exceed both
+        bursts + rate * elapsed."""
+        meter = SrTcmMeter(cir_bps=rate, cbs_bytes=burst, ebs_bytes=burst)
+        conforming = 0
         t = 0.0
         for i, size in enumerate(sizes):
             t = i * 0.01
-            if tb.try_consume(size, t):
-                consumed += size
-        assert consumed <= burst + rate / 8.0 * t + 1e-6
+            if meter.color_of(size, t) is not Color.RED:
+                conforming += size
+        assert conforming <= 2 * burst + rate / 8.0 * t + 1e-6
 
     @given(
         cir=st.floats(min_value=800.0, max_value=1e8),

@@ -28,37 +28,20 @@ ALLOWED = {
         "negotiation endpoint: the T6 benchmark and examples/quickstart.py",
     ("core/connection.py", "Responder"):
         "negotiation endpoint: the T6 benchmark and examples/quickstart.py",
-    ("topo/generators.py", "isp_chain_spec"): "public topology generator",
-    ("topo/generators.py", "isp_chain_endpoints"): "public topology generator",
-    ("topo/generators.py", "fat_tree_spec"): "public topology generator",
-    ("topo/generators.py", "fat_tree_endpoints"): "public topology generator",
-    ("fluid/derive.py", "background_from_population"):
-        "public PopulationSpec -> fluid background front door (docs/hybrid.md)",
+    ("topo/generators.py", "isp_chain_spec"):
+        "topology behind benchmarks/goldens/next_hop_goldens.json",
+    ("topo/generators.py", "fat_tree_spec"):
+        "topology behind benchmarks/goldens/next_hop_goldens.json",
     ("fluid/derive.py", "background_from_population_flows"):
         "reference model the fluid tests compare the streamed profile against",
     ("traffic/population.py", "offered_load_profile"):
         "reference model the fluid tests compare against",
-    ("traffic/samplers.py", "sample_arrivals"):
-        "public list form of iter_arrivals (repro.traffic)",
-    ("traffic/samplers.py", "sample_size"):
-        "one-draw form of size_sampler (docs/hybrid.md)",
     ("metrics/stats.py", "throughput_series"):
-        "rate series for the warm-up and run-length rule (ROADMAP item 5)",
+        "rate series for the warm-up and run-length rule (ROADMAP item 6)",
     ("harness/probes.py", "capture_goldens"):
         "regenerates benchmarks/goldens/core_goldens.json",
-    ("apps/sources.py", "CbrSource"): "public application source (repro.apps)",
-    ("apps/sources.py", "PoissonSource"): "public application source (repro.apps)",
-    ("apps/sources.py", "OnOffSource"): "public application source (repro.apps)",
-    ("netem/channels.py", "CompositeChannel"): "public channel combinator",
-    ("qos/meters.py", "TrTcmMeter"): "public RFC 2698 meter (repro.qos)",
     ("qos/sla.py", "AdmissionController"):
-        "public SLA admission control; examples/qos_streaming.py",
-    ("obs/metrics.py", "disable_metrics"):
-        "public repro.obs switch, the inverse of enable_metrics",
-    ("obs/metrics.py", "reset_metrics"):
-        "public repro.obs call that empties the registry between runs",
-    ("obs/spans.py", "read_spans"):
-        "public reader of the span JSONL a traced sweep writes",
+        "SLA admission control: examples/qos_streaming.py",
 }
 
 

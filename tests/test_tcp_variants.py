@@ -6,6 +6,7 @@ from repro.metrics.recorder import FlowRecorder
 from repro.sim.engine import Simulator
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
+from repro.tfrc.rtt import RtoEstimator
 from repro.topo import (
     ChannelSpec,
     QueueSpec,
@@ -72,10 +73,65 @@ class TestVariants:
         assert not snd._rto_timer.armed
 
 
+class _CountingRto(RtoEstimator):
+    """An RTO estimator that counts the RTT samples it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.samples = 0
+
+    def update(self, sample):
+        self.samples += 1
+        super().update(sample)
+
+
+class _KarnProbe(TcpSender):
+    """A sender that logs, per timestamped new ACK, whether the segment
+    it acknowledges had been retransmitted and whether an RTT sample was
+    taken from it.  Retransmitted means resent by fast retransmit, by
+    NewReno or SACK repair, or by an RTO (its resend of ``snd_una``)."""
+
+    __slots__ = ("resent", "log")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rto = _CountingRto()
+        self.resent = set()
+        self.log = []
+
+    def _retransmit(self, seq):
+        self.resent.add(seq)
+        super()._retransmit(seq)
+
+    def _on_rto(self):
+        timeouts = self.timeouts
+        super()._on_rto()
+        if self.timeouts > timeouts:
+            self.resent.add(self.snd_una)
+
+    def receive(self, packet):
+        header = packet.header
+        ack, una, samples = header.ack, self.snd_una, self.rto.samples
+        super().receive(packet)
+        if ack > una and header.timestamp_echo > 0:
+            self.log.append((ack - 1 in self.resent, self.rto.samples > samples))
+
+
 class TestKarn:
     def test_retransmitted_segments_skip_rtt_sampling(self):
-        snd, _, _ = lossy_run(loss=0.05, duration=20)
-        assert snd._retransmitted  # some retransmissions happened
-        assert snd.rto.srtt is not None  # but RTT kept being estimated
-        # sane RTT estimate despite retransmission ambiguity
-        assert 0.03 < snd.rto.srtt < 1.0
+        for sack in (False, True):
+            sim = Simulator(seed=5)
+            lossy = ChannelSpec(kind="bernoulli", loss_rate=0.05, rng_stream="l")
+            shape = chain_spec(1, rate_bps=4e6, delay=0.02, channel=lossy)
+            net = build(sim, ScenarioSpec("t", shape)).net
+            snd = _KarnProbe(sim, dst="h1", sack=sack).attach(net.node("h0"), "f")
+            TcpReceiver(sim, sack=sack).attach(net.node("h1"), "f")
+            snd.start()
+            sim.run(until=20)
+            resent = [sampled for again, sampled in snd.log if again]
+            fresh = [sampled for again, sampled in snd.log if not again]
+            assert len(resent) >= 5  # retransmitted segments were acked ...
+            assert not any(resent)  # ... and none gave an RTT sample
+            assert sum(fresh) > 0.9 * len(fresh)  # the others did
+            # a sane RTT estimate despite the retransmission ambiguity
+            assert 0.03 < snd.rto.srtt < 1.0

@@ -15,10 +15,8 @@ from repro.topo import (
     build,
     chain_spec,
     dumbbell_spec,
-    fat_tree_endpoints,
     fat_tree_spec,
     hetero_sla_dumbbell_spec,
-    isp_chain_endpoints,
     isp_chain_spec,
     lossy_chain_spec,
     random_access_star_spec,
@@ -239,14 +237,6 @@ class TestIspChain:
         spec = isp_chain_spec(3)
         assert all(l.queue.kind == "rio" for l in spec.links[:3])
 
-    def test_endpoints_per_hop_then_long_haul(self):
-        assert isp_chain_endpoints(2, hosts_per_pop=1) == (
-            ("p0h0", "p1h0"), ("p1h0", "p2h0"), ("p0h0", "p2h0"),
-        )
-
-    def test_single_hop_has_no_long_haul_pairs(self):
-        assert isp_chain_endpoints(1) == (("p0h0", "p1h0"),)
-
 
 class TestFatTree:
     def test_pinned_link_order(self):
@@ -260,11 +250,6 @@ class TestFatTree:
     def test_core_links_are_rio(self):
         spec = fat_tree_spec(3, hosts_per_pod=1)
         assert all(l.queue.kind == "rio" for l in spec.links[:3])
-
-    def test_endpoints_cross_pods(self):
-        assert fat_tree_endpoints(2, hosts_per_pod=1) == (
-            ("p0h0", "p1h0"), ("p1h0", "p0h0"),
-        )
 
     def test_rejects_single_pod(self):
         with pytest.raises(ValueError, match="at least two pods"):

@@ -4,7 +4,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.traffic import ArrivalSpec, SizeSpec, sample_arrivals, sample_size
+from repro.traffic import ArrivalSpec, SizeSpec
+from repro.traffic.samplers import iter_arrivals, size_sampler
 
 
 class TestArrivalProperties:
@@ -15,7 +16,7 @@ class TestArrivalProperties:
     )
     def test_poisson_bounds_and_order(self, rate, horizon, seed):
         spec = ArrivalSpec(kind="poisson", rate_per_s=rate)
-        times = sample_arrivals(spec, random.Random(seed), horizon, 500)
+        times = list(iter_arrivals(spec, random.Random(seed), horizon, 500))
         assert len(times) <= 500
         assert all(0.0 < t < horizon for t in times)
         assert times == sorted(times)
@@ -25,7 +26,7 @@ class TestArrivalProperties:
         spec = ArrivalSpec(
             kind="onoff", rate_per_s=20.0, mean_on=0.5, mean_off=0.5
         )
-        times = sample_arrivals(spec, random.Random(seed), 10.0, 200)
+        times = list(iter_arrivals(spec, random.Random(seed), 10.0, 200))
         assert len(times) <= 200
         assert all(0.0 < t < 10.0 for t in times)
         assert times == sorted(times)
@@ -39,7 +40,7 @@ class TestArrivalProperties:
             ramp_start=2.0,
             ramp_duration=2.0,
         )
-        times = sample_arrivals(spec, random.Random(seed), 8.0, 500)
+        times = list(iter_arrivals(spec, random.Random(seed), 8.0, 500))
         assert all(0.0 < t < 8.0 for t in times)
         assert times == sorted(times)
 
@@ -47,7 +48,7 @@ class TestArrivalProperties:
         # fixed seed, long horizon: the empirical rate should sit within
         # a loose tolerance of the nominal one (law of large numbers)
         spec = ArrivalSpec(kind="poisson", rate_per_s=50.0)
-        times = sample_arrivals(spec, random.Random(7), 200.0, 100_000)
+        times = list(iter_arrivals(spec, random.Random(7), 200.0, 100_000))
         empirical = len(times) / 200.0
         assert 45.0 < empirical < 55.0
 
@@ -60,14 +61,14 @@ class TestArrivalProperties:
             ramp_start=10.0,
             ramp_duration=1.0,
         )
-        times = sample_arrivals(spec, random.Random(3), 20.0, 100_000)
+        times = list(iter_arrivals(spec, random.Random(3), 20.0, 100_000))
         before = sum(1 for t in times if t < 10.0)
         after = sum(1 for t in times if t >= 11.0)
         assert after > 5 * before
 
     def test_n_max_caps_the_population(self):
         spec = ArrivalSpec(kind="poisson", rate_per_s=1000.0)
-        times = sample_arrivals(spec, random.Random(0), 100.0, 17)
+        times = list(iter_arrivals(spec, random.Random(0), 100.0, 17))
         assert len(times) == 17
 
 
@@ -85,9 +86,9 @@ class TestSizeProperties:
             min_bytes=min_bytes,
             max_bytes=min_bytes + span,
         )
-        rng = random.Random(seed)
+        draw = size_sampler(spec, random.Random(seed))
         for _ in range(50):
-            size = sample_size(spec, rng)
+            size = draw()
             assert isinstance(size, int)
             assert min_bytes <= size <= min_bytes + span
 
@@ -97,26 +98,26 @@ class TestSizeProperties:
     )
     def test_exponential_floor(self, mean, seed):
         spec = SizeSpec(kind="exponential", mean_bytes=mean, min_bytes=100)
-        rng = random.Random(seed)
+        draw = size_sampler(spec, random.Random(seed))
         for _ in range(50):
-            assert sample_size(spec, rng) >= 100
+            assert draw() >= 100
 
     def test_fixed_is_constant(self):
         spec = SizeSpec(kind="fixed", size_bytes=1234)
-        rng = random.Random(0)
-        assert [sample_size(spec, rng) for _ in range(5)] == [1234] * 5
+        draw = size_sampler(spec, random.Random(0))
+        assert [draw() for _ in range(5)] == [1234] * 5
 
     def test_pareto_degenerate_truncation_clamps(self):
         # max_bytes == min_bytes: every sample collapses to the scale
         spec = SizeSpec(kind="pareto", alpha=1.1, min_bytes=500, max_bytes=500)
-        rng = random.Random(1)
-        assert all(sample_size(spec, rng) == 500 for _ in range(20))
+        draw = size_sampler(spec, random.Random(1))
+        assert all(draw() == 500 for _ in range(20))
 
     def test_exponential_empirical_mean_near_nominal(self):
         spec = SizeSpec(kind="exponential", mean_bytes=50_000.0)
-        rng = random.Random(11)
+        draw = size_sampler(spec, random.Random(11))
         n = 20_000
-        mean = sum(sample_size(spec, rng) for _ in range(n)) / n
+        mean = sum(draw() for _ in range(n)) / n
         assert 48_000 < mean < 52_000
 
     @settings(max_examples=25)
@@ -127,7 +128,7 @@ class TestSizeProperties:
         spec = SizeSpec(
             kind="pareto", alpha=2.0, min_bytes=1000, max_bytes=10**9
         )
-        rng = random.Random(seed)
+        draw = size_sampler(spec, random.Random(seed))
         n = 5000
-        mean = sum(sample_size(spec, rng) for _ in range(n)) / n
+        mean = sum(draw() for _ in range(n)) / n
         assert 1600 < mean < 2600
